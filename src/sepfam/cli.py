@@ -37,6 +37,23 @@ def _note_relabel(parsed: documents.ParsedFamily) -> None:
         print(f"note: labels normalized: {mapping}", file=sys.stderr)
 
 
+_CHUNK_DIGITS = 4000  # below Python's default 4300-digit int-to-str limit
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal text of a nonnegative int of any size.
+
+    str() refuses ints over 4300 digits; splitting off 4000-digit chunks with
+    divmod avoids that without touching the process-wide limit.
+    """
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(value) + "".join(reversed(chunks))
+
+
 def _need(args, *names) -> None:
     missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
     if missing:
@@ -155,7 +172,7 @@ def _cmd_count(args) -> int:
                 vals["v2"] = counting.count_separating_dual(n, k, proper)
             if 2 <= n <= oracle.ORACLE_MAX_N and k >= 0:
                 vals["brute"] = oracle.brute_count_separating(n, k, proper_only=proper)
-            print(", ".join(f"{name}: {v}" for name, v in vals.items()))
+            print(", ".join(f"{name}: {_decimal(v)}" for name, v in vals.items()))
             return 0 if len(set(vals.values())) == 1 else 1
         if method == "v1":
             value = counting.count_separating(n, k, proper)
@@ -163,7 +180,7 @@ def _cmd_count(args) -> int:
             value = counting.count_separating_dual(n, k, proper)
         else:
             value = oracle.brute_count_separating(n, k, proper_only=proper)
-        print(value)
+        print(_decimal(value))
         return 0
     if q == "min-size":
         _need(args, "n")
@@ -171,20 +188,18 @@ def _cmd_count(args) -> int:
         return 0
     if q == "min-size-count":
         _need(args, "n")
-        print(counting.count_min_size_families(args.n))
+        print(_decimal(counting.count_min_size_families(args.n)))
         return 0
     if q == "min-ground":
         _need(args, "k")
         size = counting.min_ground_size(args.k, args.proper)
-        if args.proper or args.k >= 2:
-            print(f"size: {size}, count: {counting.count_min_ground_families(args.k, args.proper)}")
-        else:
-            print(f"size: {size}")
+        count = counting.count_min_ground_families(args.k, args.proper)
+        print(f"size: {size}, count: {_decimal(count)}")
         return 0
     # stirling quantities
     _need(args, "n", "k")
     fn = counting.stirling1_unsigned if q == "stirling1" else counting.stirling2
-    print(fn(args.n, args.k))
+    print(_decimal(fn(args.n, args.k)))
     return 0
 
 
@@ -221,7 +236,7 @@ def _cmd_table(args) -> int:
             if counting.is_forced_zero(n, k, proper):
                 cells.append("0 (forced)")
             else:
-                cells.append(str(counting.count_separating(n, k, proper)))
+                cells.append(_decimal(counting.count_separating(n, k, proper)))
         rows[str(n)] = cells
     doc = {"quantity": q, "n_max": n_max, "k_max": k_max, "k": list(range(1, k_max + 1)), "rows": rows}
     _write_out(args, json.dumps(doc, indent=1) + "\n")

@@ -4,6 +4,10 @@ A bipartition of {1..n} is a partition into at most two blocks. It is keyed
 by its coblock, the block that does not contain element 1, stored as a
 bitmask in which bit i-1 stands for element i. The empty coblock encodes the
 one-block partition of the whole set. Everything here is immutable.
+
+The predicates run on the rows of the characteristic matrix (`char_rows`),
+built once per call in O(n*k): a family separates exactly when its rows are
+pairwise distinct.
 """
 
 from __future__ import annotations
@@ -135,19 +139,25 @@ class BipartitionFamily:
             raise ValueError("not a member of this family")
         return BipartitionFamily(self.n, tuple(b for b in self.members if b != member))
 
+    def rows(self) -> list[int]:
+        """Characteristic-matrix rows of the members in canonical order."""
+        return char_rows(self.n, [b.coblock for b in self.members])
+
     def is_separating(self) -> bool:
-        """Every element pair is cut by at least one member."""
-        return all(
-            any(b.cuts(i, j) for b in self.members)
-            for i, j in GroundSet(self.n).pairs()
-        )
+        """Every element pair is cut by at least one member: rows are distinct."""
+        return len(set(self.rows())) == self.n
 
     def is_minimal_separating(self) -> bool:
         """Separating, and dropping any one member stops it separating."""
-        if not self.is_separating():
+        rows = self.rows()
+        n = self.n
+        if len(set(rows)) != n:
             return False
-        # separation is monotone, so single-member drops suffice
-        return all(not self.without(b).is_separating() for b in self.members)
+        # separation is monotone, so single-member drops suffice: member j is
+        # needed when masking column j out of every row makes two rows equal
+        return all(
+            len({r & ~(1 << j) for r in rows}) != n for j in range(len(self.members))
+        )
 
 
 @dataclass(frozen=True)
@@ -179,6 +189,22 @@ class BipartitionTuple:
 
     def __iter__(self) -> Iterator[Bipartition]:
         return iter(self.entries)
+
+
+def char_rows(n: int, coblocks: Sequence[int]) -> list[int]:
+    """Rows of the n x k characteristic matrix of k masks below 2^n.
+
+    Bit j of row i-1 is bit i-1 of coblocks[j]. Each mask is written as an
+    n-digit binary string and the strings are transposed with zip, so the
+    cost is O(n*k) character operations.
+    """
+    if not coblocks or not n:
+        return [0] * n
+    fmt = f"0{n}b"
+    # with the last mask first, each zipped tuple spells a row from its top
+    # column down, and the tuples come from element n down to element 1
+    cols = [format(co, fmt) for co in reversed(coblocks)]
+    return [int("".join(bits), 2) for bits in zip(*cols)][::-1]
 
 
 def bipartition_count(n: int, proper: bool = False) -> int:

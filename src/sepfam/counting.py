@@ -241,15 +241,13 @@ def min_ground_size(k: int, proper: bool = False) -> int:
 def count_min_ground_families(k: int, proper: bool = False) -> int:
     """Separating k-families over that smallest ground set.
 
-    The arbitrary-bipartition count is defined for k >= 2 (a lone
-    bipartition only separates a 2-set and the closed form starts at 2).
+    With arbitrary bipartitions and k = 1 the ground set is {1}, where the
+    lone one-block bipartition separates: comb(1, 1) = 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if proper:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         m = ceil_log2(k + 1)
         return comb((1 << m) - 1, k)
-    if k < 2:
-        raise ValueError(f"k must be >= 2 for the arbitrary count, got {k}")
     m = ceil_log2(k)
     return comb(1 << m, k)

@@ -3,7 +3,8 @@
 Row i records which entries cut element i away from element 1, so the first
 row is always zero and a tuple's entries form a separating family exactly
 when all rows are distinct. Rows are stored as k-bit integers, bit j for
-column j.
+column j. Encoding, decoding and transposing are all one O(n*k) transpose,
+`core.char_rows`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Bipartition, BipartitionFamily, BipartitionTuple
+from .core import Bipartition, BipartitionFamily, BipartitionTuple, char_rows
 
 
 def cut_vector(p: Bipartition) -> tuple[int, ...]:
@@ -59,18 +60,12 @@ class CharMatrix:
     @classmethod
     def encode(cls, t: BipartitionTuple) -> CharMatrix:
         """Column j is the cut vector of entry j."""
-        rows = tuple(
-            sum((e.coblock >> (i - 1) & 1) << j for j, e in enumerate(t.entries))
-            for i in range(1, t.n + 1)
-        )
-        return cls(t.n, len(t.entries), rows)
+        rows = char_rows(t.n, [e.coblock for e in t.entries])
+        return cls(t.n, len(t.entries), tuple(rows))
 
     def decode(self) -> BipartitionTuple:
         """Read each column back as a bipartition; inverse of encode."""
-        entries = tuple(
-            Bipartition(self.n, sum((self.rows[i] >> j & 1) << i for i in range(self.n)))
-            for j in range(self.k)
-        )
+        entries = tuple(Bipartition(self.n, co) for co in char_rows(self.k, self.rows))
         return BipartitionTuple(self.n, entries)
 
     def to_lists(self) -> list[list[int]]:
@@ -89,11 +84,7 @@ class CharMatrix:
         """
         if self.k < 1 or any(r & 1 for r in self.rows):
             raise ValueError("transpose needs an all-zero first column")
-        rows = tuple(
-            sum((self.rows[i] >> j & 1) << i for i in range(self.n))
-            for j in range(self.k)
-        )
-        return CharMatrix(self.k, self.n, rows)
+        return CharMatrix(self.k, self.n, tuple(char_rows(self.k, self.rows)))
 
 
 def encode_family(f: BipartitionFamily) -> CharMatrix:

@@ -325,8 +325,7 @@ def cross_validate(n_max: int, k_max: int) -> ValidationReport:
             got_n, got_c = _brute_min_ground(k, proper)
             want_n = counting.min_ground_size(k, proper)
             rep.add(f"min-ground-size-{label} k={k}", got_n == want_n, want_n, got_n)
-            if proper or k >= 2:
-                want_c = counting.count_min_ground_families(k, proper)
-                rep.add(f"min-ground-count-{label} k={k}", got_c == want_c, want_c, got_c)
+            want_c = counting.count_min_ground_families(k, proper)
+            rep.add(f"min-ground-count-{label} k={k}", got_c == want_c, want_c, got_c)
 
     return rep

@@ -5,6 +5,10 @@ tree on {1..n} (edge {i,j} when exactly one member cuts i and j) and every
 spanning tree arises from exactly one such family (one bipartition per
 edge: the two components left when the edge is removed). Trees are
 enumerated through their length-(n-2) codes.
+
+Both directions are linear in the input: the unique-cut graph is read off
+the characteristic-matrix rows in O(n*k) (rows one bit apart), and an edge's
+cut is a subtree of the tree rooted at element 1.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Bipartition, BipartitionFamily, CapacityError, GroundSet
+from .core import Bipartition, BipartitionFamily, CapacityError
 
 TREE_ENUM_MAX_N = 9
 
@@ -95,12 +99,22 @@ def is_spanning_tree(g: LabeledGraph) -> bool:
 
 
 def unique_cut_graph(f: BipartitionFamily) -> LabeledGraph:
-    """Edge {i, j} appears when exactly one family member cuts i and j."""
-    edges = [
-        (i, j)
-        for i, j in GroundSet(f.n).pairs()
-        if sum(1 for b in f if b.cuts(i, j)) == 1
-    ]
+    """Edge {i, j} appears when exactly one family member cuts i and j.
+
+    Those are the pairs whose characteristic-matrix rows differ in exactly
+    one bit: each row is flipped in each of its k bits and looked up.
+    """
+    holders: dict[int, list[int]] = {}
+    for i, r in enumerate(f.rows(), 1):
+        holders.setdefault(r, []).append(i)
+    edges = []
+    for r, mine in holders.items():
+        for j in range(len(f)):
+            flipped = r ^ (1 << j)
+            if flipped > r:  # each pair of rows once
+                edges.extend(
+                    (min(i, e), max(i, e)) for i in mine for e in holders.get(flipped, ())
+                )
     return LabeledGraph(f.n, frozenset(edges))
 
 
@@ -108,28 +122,26 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     """One bipartition per edge: the two components left when it is removed.
 
     Input must be a spanning tree on n >= 2 vertices; this inverts
-    unique_cut_graph on maximum-size minimal separating families.
+    unique_cut_graph on maximum-size minimal separating families. With the
+    tree rooted at 1, the side of edge (parent, v) avoiding 1 is the subtree
+    of v, and all subtree masks come from one pass in reverse BFS order.
     """
     if g.n < 2:
         raise ValueError("edge-cut family needs n >= 2")
     if not is_spanning_tree(g):
         raise ValueError("input is not a spanning tree")
     adj = g.adjacency()
-    members = []
-    full = set(range(1, g.n + 1))
-    for u, v in g.sorted_edges():
-        comp = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if (min(x, y), max(x, y)) == (u, v) or y in comp:
-                    continue
-                comp.add(y)
-                stack.append(y)
-        co = comp if 1 not in comp else full - comp
-        members.append(Bipartition.from_coblock(g.n, co))
-    return BipartitionFamily(g.n, tuple(members))
+    parent = {1: 0}
+    order = [1]
+    for x in order:  # grows while it is read: a BFS
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    sub = [0] + [1 << i for i in range(g.n)]  # v's own bit, to start
+    for v in reversed(order):
+        sub[parent[v]] |= sub[v]
+    return BipartitionFamily(g.n, tuple(Bipartition(g.n, sub[v]) for v in order[1:]))
 
 
 def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:

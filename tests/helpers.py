@@ -54,3 +54,30 @@ def naive_is_minimal(fam, n):
             if naive_is_separating(list(sub), n):
                 return False
     return True
+
+
+def naive_unique_cut_edges(fam, n):
+    """Pairs (i, j), i < j, cut by exactly one member of fam."""
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+        if sum(1 for p in fam if naive_cuts(p, i, j)) == 1
+    }
+
+
+def naive_edge_cut_family(n, edges):
+    """For each tree edge, the blocks left when it is removed (found by DFS)."""
+    out = set()
+    for removed in edges:
+        rest = [e for e in edges if e != removed]
+        side = {removed[0]}
+        stack = [removed[0]]
+        while stack:
+            x = stack.pop()
+            for a, b in rest:
+                for u, v in ((a, b), (b, a)):
+                    if u == x and v not in side:
+                        side.add(v)
+                        stack.append(v)
+        out.add(frozenset([frozenset(side), frozenset(range(1, n + 1)) - side]))
+    return out

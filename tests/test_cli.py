@@ -5,7 +5,7 @@ import json
 import pytest
 
 import sepfam.counting
-from sepfam.cli import main
+from sepfam.cli import _decimal, main
 
 P_DOC = '{"n": 4, "bipartitions": [[[1, 2], [3, 4]], [[1, 3], [2, 4]]]}'
 Q_COMPACT = "1|2,3,4;1,2|3,4;1,2,3|4"
@@ -253,9 +253,32 @@ def test_count_other_quantities(capsys):
     assert run(capsys, "count", "min-size-count", "--n", "5")[1].strip() == "140"
     assert run(capsys, "count", "min-ground", "--k", "5")[1].strip() == "size: 4, count: 56"
     assert run(capsys, "count", "min-ground", "--k", "5", "--proper")[1].strip() == "size: 4, count: 21"
-    assert run(capsys, "count", "min-ground", "--k", "1")[1].strip() == "size: 1"
+    assert run(capsys, "count", "min-ground", "--k", "1")[1].strip() == "size: 1, count: 1"
     assert run(capsys, "count", "stirling1", "--n", "4", "--k", "2")[1].strip() == "11"
     assert run(capsys, "count", "stirling2", "--n", "4", "--k", "2")[1].strip() == "7"
+
+
+def _from_decimal(text):
+    # int() refuses strings over 4300 digits too, so read 4000 at a time
+    value = 0
+    for s in range(0, len(text), 4000):
+        chunk = text[s:s + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_prints_answers_past_the_digit_limit(capsys):
+    code, out, _ = run(capsys, "count", "tau", "--n", "1000", "--k", "40")
+    digits = out.strip()
+    assert code == 0 and digits.isdigit() and len(digits) > 4300
+    assert _from_decimal(digits) == sepfam.counting.count_separating(1000, 40)
+
+
+def test_decimal_keeps_zero_chunks():
+    assert _decimal(0) == "0"
+    assert _decimal(10**4000 - 1) == "9" * 4000
+    assert _decimal(10**4000) == "1" + "0" * 4000
+    assert _decimal(10**8000 + 5) == "1" + "0" * 7999 + "5"
 
 
 def test_count_usage_and_domain_errors(capsys):

@@ -257,8 +257,7 @@ def test_min_ground_fixtures():
         assert count_min_ground_families(k, proper=True) == count
     with pytest.raises(ValueError):
         min_ground_size(0)
-    with pytest.raises(ValueError):
-        count_min_ground_families(1)
+    assert count_min_ground_families(1) == 1  # the one-block partition of {1}
     with pytest.raises(ValueError):
         count_min_ground_families(0, proper=True)
 
