@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import counting, documents, oracle, tree
 from .core import CapacityError, bipartition_count
+from .counting import decimal_text
 
 
 def _read_input(args) -> str:
@@ -35,23 +36,6 @@ def _note_relabel(parsed: documents.ParsedFamily) -> None:
     if parsed.relabeled:
         mapping = ", ".join(f"{a}->{b}" for a, b in sorted(parsed.label_map.items()))
         print(f"note: labels normalized: {mapping}", file=sys.stderr)
-
-
-_CHUNK_DIGITS = 4000  # below Python's default 4300-digit int-to-str limit
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(value: int) -> str:
-    """Exact decimal text of a nonnegative int of any size.
-
-    str() refuses ints over 4300 digits; splitting off 4000-digit chunks with
-    divmod avoids that without touching the process-wide limit.
-    """
-    chunks = []
-    while value >= _CHUNK:
-        value, low = divmod(value, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    return str(value) + "".join(reversed(chunks))
 
 
 def _need(args, *names) -> None:
@@ -165,22 +149,25 @@ def _cmd_count(args) -> int:
     if q in ("tau", "sigma"):
         _need(args, "n", "k")
         n, k, proper = args.n, args.k, q == "sigma"
-        method = args.method or "v1"
+        method = args.method
         if method == "all":
-            vals: dict[str, int] = {"v1": counting.count_separating(n, k, proper)}
-            if proper or k != 1:
-                vals["v2"] = counting.count_separating_dual(n, k, proper)
+            vals: dict[str, int] = {
+                "v1": counting._count_family_side(n, k, proper),
+                "v2": counting.count_separating_dual(n, k, proper),
+            }
             if 2 <= n <= oracle.ORACLE_MAX_N and k >= 0:
                 vals["brute"] = oracle.brute_count_separating(n, k, proper_only=proper)
-            print(", ".join(f"{name}: {_decimal(v)}" for name, v in vals.items()))
+            print(", ".join(f"{name}: {decimal_text(v)}" for name, v in vals.items()))
             return 0 if len(set(vals.values())) == 1 else 1
-        if method == "v1":
+        if method is None:
             value = counting.count_separating(n, k, proper)
+        elif method == "v1":
+            value = counting._count_family_side(n, k, proper)
         elif method == "v2":
             value = counting.count_separating_dual(n, k, proper)
         else:
             value = oracle.brute_count_separating(n, k, proper_only=proper)
-        print(_decimal(value))
+        print(decimal_text(value))
         return 0
     if q == "min-size":
         _need(args, "n")
@@ -188,18 +175,18 @@ def _cmd_count(args) -> int:
         return 0
     if q == "min-size-count":
         _need(args, "n")
-        print(_decimal(counting.count_min_size_families(args.n)))
+        print(decimal_text(counting.count_min_size_families(args.n)))
         return 0
     if q == "min-ground":
         _need(args, "k")
         size = counting.min_ground_size(args.k, args.proper)
         count = counting.count_min_ground_families(args.k, args.proper)
-        print(f"size: {size}, count: {_decimal(count)}")
+        print(f"size: {size}, count: {decimal_text(count)}")
         return 0
     # stirling quantities
     _need(args, "n", "k")
     fn = counting.stirling1_unsigned if q == "stirling1" else counting.stirling2
-    print(_decimal(fn(args.n, args.k)))
+    print(decimal_text(fn(args.n, args.k)))
     return 0
 
 
@@ -236,7 +223,7 @@ def _cmd_table(args) -> int:
             if counting.is_forced_zero(n, k, proper):
                 cells.append("0 (forced)")
             else:
-                cells.append(_decimal(counting.count_separating(n, k, proper)))
+                cells.append(decimal_text(counting.count_separating(n, k, proper)))
         rows[str(n)] = cells
     doc = {"quantity": q, "n_max": n_max, "k_max": k_max, "k": list(range(1, k_max + 1)), "rows": rows}
     _write_out(args, json.dumps(doc, indent=1) + "\n")
@@ -281,7 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     k.add_argument("--n", type=int)
     k.add_argument("--k", type=int)
-    k.add_argument("--method", choices=["v1", "v2", "brute", "all"], help="closed form, dual form, exhaustive scan, or every applicable one")
+    k.add_argument(
+        "--method",
+        choices=["v1", "v2", "brute", "all"],
+        help="tau/sigma: v1 forces the family-side sum, v2 the ground-side (dual) sum, brute the "
+        "exhaustive scan, all every applicable one; omitted, the sum with fewer terms",
+    )
     k.add_argument("--proper", action="store_true", help="min-ground: two-block members only")
     k.set_defaults(handler=_cmd_count)
 

@@ -93,11 +93,11 @@ class Bipartition:
         return self.coblock != 0
 
     def coblock_members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(2, self.n + 1) if self.coblock >> (i - 1) & 1)
+        return _set_elements(self.coblock)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks, the one containing element 1 first."""
-        first = tuple(i for i in range(1, self.n + 1) if not self.coblock >> (i - 1) & 1)
+        first = _set_elements(((1 << self.n) - 1) ^ self.coblock)
         co = self.coblock_members()
         return (first,) if not co else (first, co)
 
@@ -189,6 +189,19 @@ class BipartitionTuple:
 
     def __iter__(self) -> Iterator[Bipartition]:
         return iter(self.entries)
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_elements(mask: int) -> tuple[int, ...]:
+    """Elements whose bits are set in mask, ascending (bit i-1 is element i).
+
+    The reversed binary string, mapped to 0/1 bytes, selects from 1..len with
+    itertools.compress, so no Python-level loop runs over the elements.
+    """
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return tuple(itertools.compress(range(1, len(flags) + 1), flags))
 
 
 def char_rows(n: int, coblocks: Sequence[int]) -> list[int]:

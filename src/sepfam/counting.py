@@ -99,11 +99,29 @@ def _exact_div(num: int, den: int) -> int:
 def count_separating(n: int, k: int, proper: bool = False) -> int:
     """Separating families of k distinct bipartitions of {1..n}, exactly.
 
-    With proper=True only two-block bipartitions may be used. The sum runs
-    over the number of distinct rows a characteristic matrix can have.
+    With proper=True only two-block bipartitions may be used. The count is
+    one alternating sum that can be read over the k family members or over
+    the n ground elements; this evaluates the one with fewer terms: the
+    ground-side sum of count_separating_dual when k > n - 1, the family-side
+    sum otherwise.
     """
     if is_forced_zero(n, k, proper):
         return 0
+    if k > n - 1:
+        return _ground_sum(n, k, proper)
+    return _family_sum(n, k, proper)
+
+
+def _count_family_side(n: int, k: int, proper: bool = False) -> int:
+    """count_separating by the family-side sum whatever the shape, for cross-checks."""
+    if is_forced_zero(n, k, proper):
+        return 0
+    return _family_sum(n, k, proper)
+
+
+def _family_sum(n: int, k: int, proper: bool) -> int:
+    # k terms, over the number of distinct rows a characteristic matrix can
+    # have, divided by k! at the end
     if proper:
         acc = sum(
             (-1) ** (k - i) * stirling1_unsigned(k + 1, i + 1) * comb((1 << i) - 1, n - 1)
@@ -118,24 +136,44 @@ def count_separating(n: int, k: int, proper: bool = False) -> int:
 
 
 def count_separating_dual(n: int, k: int, proper: bool = False) -> int:
-    """The same counts by the transposed closed form.
+    """The same counts by the transposed closed form, the ground-side sum.
 
-    Sums over the ground-set side instead of the family side; division-free.
-    Undefined at k = 1 with proper=False (that edge of the formula is wrong;
-    use count_separating there).
+    Sums n terms over the ground-set side instead of k over the family side,
+    and needs no division. Defined for every k, k = 1 included.
     """
-    _require_ground(n)
-    if not proper and k == 1:
-        raise ValueError("dual closed form is undefined for a single arbitrary bipartition")
     if is_forced_zero(n, k, proper):
         return 0
+    return _ground_sum(n, k, proper)
+
+
+def _ground_sum(n: int, k: int, proper: bool) -> int:
+    # the i = 0 term is nonzero only for one arbitrary bipartition (k = 1)
     total = 0
-    for i in range(1, n):
+    for i in range(n):
         top = ((1 << i) - 1) if proper else (1 << i)
         total += (-1) ** (n - 1 - i) * stirling1_unsigned(n, i + 1) * comb(top, k)
     if total < 0:
         raise ArithmeticError(f"count came out negative ({total})")
     return total
+
+
+_CHUNK_DIGITS = 4000  # below Python's default 4300-digit int-to-str limit
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_text(value: int) -> str:
+    """Exact decimal text of an int of any size.
+
+    str() refuses ints over 4300 digits; splitting off 4000-digit chunks with
+    divmod avoids that without touching the process-wide limit.
+    """
+    if value < 0:
+        return "-" + decimal_text(-value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(value) + "".join(reversed(chunks))
 
 
 class IdentityCheck(NamedTuple):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import sepfam.counting
-from sepfam.cli import _decimal, main
+from sepfam.cli import main
+from sepfam.counting import decimal_text
 
 P_DOC = '{"n": 4, "bipartitions": [[[1, 2], [3, 4]], [[1, 3], [2, 4]]]}'
 Q_COMPACT = "1|2,3,4;1,2|3,4;1,2,3|4"
@@ -221,7 +222,7 @@ def test_count_methods_agree(capsys):
 def test_count_all_skips_inapplicable_methods(capsys):
     code, out, _ = run(capsys, "count", "tau", "--n", "2", "--k", "1", "--method", "all")
     assert code == 0
-    assert out.strip() == "v1: 1, brute: 1"
+    assert out.strip() == "v1: 1, v2: 1, brute: 1"
     code, out, _ = run(capsys, "count", "tau", "--n", "6", "--k", "3", "--method", "all")
     assert code == 0
     assert "brute" not in out
@@ -231,7 +232,9 @@ def test_count_all_skips_inapplicable_methods(capsys):
 
 def test_count_single_methods(capsys):
     assert run(capsys, "count", "tau", "--n", "4", "--k", "3")[1].strip() == "32"
+    assert run(capsys, "count", "tau", "--n", "4", "--k", "3", "--method", "v1")[1].strip() == "32"
     assert run(capsys, "count", "tau", "--n", "4", "--k", "3", "--method", "v2")[1].strip() == "32"
+    assert run(capsys, "count", "tau", "--n", "2", "--k", "1", "--method", "v2")[1].strip() == "1"
     assert run(capsys, "count", "sigma", "--n", "4", "--k", "3")[1].strip() == "29"
     assert run(capsys, "count", "sigma", "--n", "4", "--k", "3", "--method", "brute")[1].strip() == "29"
 
@@ -246,6 +249,22 @@ def test_count_mismatch_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "count", "tau", "--n", "4", "--k", "3", "--method", "all")
     assert code == 1
     assert "v2: 33" in out
+
+
+def test_count_methods_pick_their_sum(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the other sum ran")
+
+    # v1 is the family-side sum even where count_separating would take the other
+    monkeypatch.setattr(sepfam.counting, "_ground_sum", refuse)
+    v1 = run(capsys, "count", "tau", "--n", "12", "--k", "50", "--method", "v1")[1].strip()
+    monkeypatch.undo()
+    assert int(v1) == sepfam.counting.count_separating(12, 50)
+    monkeypatch.setattr(sepfam.counting, "_family_sum", refuse)
+    v2 = run(capsys, "count", "sigma", "--n", "30", "--k", "8", "--method", "v2")[1].strip()
+    assert int(v2) == sepfam.counting.count_separating_dual(30, 8, proper=True)
+    # with --method omitted the shorter (here ground-side) sum answers
+    assert run(capsys, "count", "tau", "--n", "12", "--k", "50")[1].strip() == v1
 
 
 def test_count_other_quantities(capsys):
@@ -275,17 +294,17 @@ def test_count_prints_answers_past_the_digit_limit(capsys):
 
 
 def test_decimal_keeps_zero_chunks():
-    assert _decimal(0) == "0"
-    assert _decimal(10**4000 - 1) == "9" * 4000
-    assert _decimal(10**4000) == "1" + "0" * 4000
-    assert _decimal(10**8000 + 5) == "1" + "0" * 7999 + "5"
+    assert decimal_text(0) == "0"
+    assert decimal_text(10**4000 - 1) == "9" * 4000
+    assert decimal_text(10**4000) == "1" + "0" * 4000
+    assert decimal_text(10**8000 + 5) == "1" + "0" * 7999 + "5"
 
 
 def test_count_usage_and_domain_errors(capsys):
     assert run(capsys, "count", "tau", "--n", "4")[0] == 2  # missing --k
     assert run(capsys, "count", "min-size")[0] == 2
     assert run(capsys, "count", "tau", "--n", "1", "--k", "1")[0] == 2
-    assert run(capsys, "count", "tau", "--n", "2", "--k", "1", "--method", "v2")[0] == 2
+    assert run(capsys, "count", "tau", "--n", "1", "--k", "1", "--method", "v2")[0] == 2
     assert run(capsys, "count", "tau", "--n", "6", "--k", "2", "--method", "brute")[0] == 2
     assert run(capsys, "count", "nonsense", "--n", "4", "--k", "2")[0] == 2
 

@@ -1,6 +1,7 @@
 """Core predicates against worked examples and the definition-level reference."""
 
 import itertools
+import random
 
 import pytest
 
@@ -39,6 +40,15 @@ def test_blocks_puts_block_with_1_first():
     assert triv.blocks() == ((1, 2, 3),)
     assert not triv.is_proper
     assert Bipartition.from_blocks(3, [[2, 1, 3]]) == triv
+    # blocks() reads set bits; compare with a scan of every element
+    rng = random.Random(7)
+    for n in (1, 2, 9, 63, 64, 65, 300):
+        for co in (0, ((1 << n) - 1) & ~1, rng.getrandbits(n) & ~1, 1 << (n - 1) if n > 1 else 0):
+            b = Bipartition(n, co)
+            inside = tuple(i for i in range(1, n + 1) if co >> (i - 1) & 1)
+            outside = tuple(i for i in range(1, n + 1) if not co >> (i - 1) & 1)
+            assert b.coblock_members() == inside
+            assert b.blocks() == ((outside, inside) if inside else (outside,))
 
 
 def test_from_blocks_roundtrips_everywhere():

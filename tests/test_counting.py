@@ -4,8 +4,11 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_tables as ref
+import sepfam.counting
 from sepfam import (
     IdentityCheck,
     StirlingTable,
@@ -27,6 +30,7 @@ from sepfam import (
     stirling2,
     surjective_sequences,
 )
+from sepfam.counting import _count_family_side
 
 
 def _surjections(k, i):
@@ -106,8 +110,6 @@ def test_counts_match_frozen_tables():
 def test_dual_matches_frozen_tables():
     for n, row in ref.SEPARATING_COUNTS.items():
         for k, want in row.items():
-            if k == 1:
-                continue  # the dual form has no k=1 case for arbitrary members
             assert count_separating_dual(n, k) == want, (n, k)
     for n, row in ref.SEPARATING_COUNTS_PROPER.items():
         for k, want in row.items():
@@ -131,6 +133,8 @@ def test_domain_policy():
     assert count_separating(4, 7, proper=True) == 1
     assert count_separating(3, -2) == 0
     assert count_separating_dual(4, 1, proper=True) == 0
+    assert count_separating_dual(2, 1) == 1  # the lone one-block partition
+    assert count_separating_dual(4, 1) == 0
     assert is_forced_zero(4, 9) and is_forced_zero(4, 0)
     assert not is_forced_zero(4, 1)
     assert is_forced_zero(4, 8, proper=True)
@@ -138,8 +142,6 @@ def test_domain_policy():
         count_separating(1, 1)
     with pytest.raises(ValueError):
         count_separating_dual(1, 1)
-    with pytest.raises(ValueError):
-        count_separating_dual(4, 1)  # undefined edge of the dual form
     with pytest.raises(ValueError):
         is_forced_zero(1, 1)
 
@@ -152,14 +154,55 @@ def test_counts_never_negative_on_grid():
 
 
 def test_closed_forms_agree_on_grid():
+    # count_separating runs the dual sum when k > n - 1, so compare the
+    # family-side sum with the ground-side sum directly
     for n in range(2, 9):
         pool = bipartition_count(n)
-        for k in range(2, min(pool, 20) + 1):
-            assert count_separating(n, k) == count_separating_dual(n, k), (n, k)
         for k in range(1, min(pool, 20) + 1):
-            a = count_separating(n, k, proper=True)
+            assert _count_family_side(n, k) == count_separating_dual(n, k), (n, k)
+            a = _count_family_side(n, k, proper=True)
             b = count_separating_dual(n, k, proper=True)
             assert a == b, (n, k)
+
+
+@st.composite
+def shapes(draw):
+    n = draw(st.integers(2, 60))
+    k = draw(st.one_of(st.integers(1, 200), st.sampled_from((1, n - 1, n, n + 1))))
+    return n, k, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shapes())
+@example((2, 1, False))
+@example((2, 1, True))
+@example((3, 2, False))
+@example((9, 8, True))
+@example((9, 9, False))
+@example((60, 61, True))
+def test_family_and_ground_sums_agree(shape):
+    n, k, proper = shape
+    assert _count_family_side(n, k, proper) == count_separating_dual(n, k, proper)
+
+
+def test_count_separating_takes_the_shorter_sum(monkeypatch):
+    n = 12
+    want = {(k, proper): count_separating(n, k, proper)
+            for k in (1, n - 1, n, n + 1, 50) for proper in (False, True)}
+
+    def refuse(*args):
+        raise AssertionError("count_separating took the longer sum")
+
+    # up to k = n - 1 the family side has at most as many terms as the ground side
+    monkeypatch.setattr(sepfam.counting, "_ground_sum", refuse)
+    for k in (1, n - 1):
+        for proper in (False, True):
+            assert count_separating(n, k, proper) == want[k, proper]
+    monkeypatch.undo()
+    monkeypatch.setattr(sepfam.counting, "_family_sum", refuse)
+    for k in (n, n + 1, 50):
+        for proper in (False, True):
+            assert count_separating(n, k, proper) == want[k, proper]
 
 
 def test_division_is_exact_by_construction():
@@ -271,6 +314,6 @@ def test_ceil_log2():
 def test_big_values_stay_exact():
     # both closed forms on a cell far past machine-word range
     v = count_separating(12, 20)
-    assert v == count_separating_dual(12, 20)
+    assert v == _count_family_side(12, 20) == count_separating_dual(12, 20)
     assert v > 10**40
-    assert count_separating(12, 20, proper=True) == count_separating_dual(12, 20, proper=True)
+    assert _count_family_side(12, 20, proper=True) == count_separating_dual(12, 20, proper=True)

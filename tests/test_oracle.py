@@ -9,6 +9,7 @@ import reference_tables as ref
 import sepfam.counting
 from sepfam import (
     CapacityError,
+    ValidationReport,
     brute_count_separating,
     brute_minimal_max_families,
     brute_minimal_size_profile,
@@ -103,6 +104,16 @@ def test_cross_validate_passes():
     ):
         good, total = groups[expected]
         assert good == total > 0
+    # the dual form is checked at k = 1 too, so at every cell the count is
+    assert groups["arbitrary-dual-vs-oracle"] == groups["arbitrary-count-vs-oracle"]
+    assert rep.summary_lines()[-1].startswith("result: PASS")
+
+
+def test_report_takes_values_past_the_digit_limit():
+    rep = ValidationReport(2, 1)
+    rep.add("huge", True, 10**5000, -(10**5000))
+    check = rep.checks[0]
+    assert check.lhs == "1" + "0" * 5000 and check.rhs == "-1" + "0" * 5000
     assert rep.summary_lines()[-1].startswith("result: PASS")
 
 
