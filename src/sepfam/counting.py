@@ -235,12 +235,17 @@ def check_stirling_first_sum(k: int, i: int) -> IdentityCheck:
 
 
 def check_transpose_symmetry(n: int, k: int) -> IdentityCheck:
-    """Matrices with zero first row and column, counted from either side."""
+    """Matrices with zero first row and column, counted from either side.
+
+    Both sides take the family-side sum, one over Stirling row k and one over
+    row n, so for k != n they are two different computations; count_separating
+    would read one of them in the other orientation, which is the same sum.
+    """
     _require_ground(n)
     if not 2 <= k <= bipartition_count(n):
         raise ValueError(f"k={k} outside 2..{bipartition_count(n)}")
-    lhs = count_separating(n, k - 1, proper=True) * factorial(k - 1)
-    rhs = count_separating(k, n - 1, proper=True) * factorial(n - 1)
+    lhs = _count_family_side(n, k - 1, proper=True) * factorial(k - 1)
+    rhs = _count_family_side(k, n - 1, proper=True) * factorial(n - 1)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 

@@ -133,7 +133,7 @@ def test_domain_policy():
     assert count_separating(4, 7, proper=True) == 1
     assert count_separating(3, -2) == 0
     assert count_separating_dual(4, 1, proper=True) == 0
-    assert count_separating_dual(2, 1) == 1  # the lone one-block partition
+    assert count_separating_dual(2, 1) == 1  # the lone two-block partition {1|2}
     assert count_separating_dual(4, 1) == 0
     assert is_forced_zero(4, 9) and is_forced_zero(4, 0)
     assert not is_forced_zero(4, 1)
@@ -245,6 +245,27 @@ def test_identity_checks_hold_on_grid():
         for k in range(2, min(pool, 16) + 1):
             assert check_trivial_split(n, k)
             assert check_transpose_symmetry(n, k)
+
+
+def test_transpose_symmetry_compares_two_different_sums(monkeypatch):
+    # the two sides are the family-side sums at (n, k-1) and (k, n-1); a fault
+    # planted in either one alone must show, on both sides of k = n
+    family_sum = sepfam.counting._family_sum
+
+    def refuse(*args):
+        raise AssertionError("transpose symmetry took the ground-side sum")
+
+    monkeypatch.setattr(sepfam.counting, "_ground_sum", refuse)
+    for n, k in ((4, 3), (3, 4), (6, 9), (9, 6), (12, 40)):
+        assert check_transpose_symmetry(n, k)
+        for shape in ((n, k - 1), (k, n - 1)):
+            monkeypatch.setattr(
+                sepfam.counting,
+                "_family_sum",
+                lambda a, b, p, shape=shape: family_sum(a, b, p) + ((a, b) == shape),
+            )
+            assert not check_transpose_symmetry(n, k), (n, k, shape)
+            monkeypatch.setattr(sepfam.counting, "_family_sum", family_sum)
 
 
 def test_stirling_first_sum_holds():
