@@ -14,7 +14,6 @@ from .core import (
     BipartitionFamily,
     BipartitionTuple,
     CapacityError,
-    GroundSet,
     all_bipartitions,
     bipartition_count,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "CapacityError",
     "CharMatrix",
     "CheckResult",
-    "GroundSet",
     "IdentityCheck",
     "LabeledGraph",
     "LabeledTree",

@@ -1,4 +1,4 @@
-"""Ground sets, canonical bipartitions, and the separating-family predicates.
+"""Canonical bipartitions of {1..n} and the separating-family predicates.
 
 A bipartition of {1..n} is a partition into at most two blocks. It is keyed
 by its coblock, the block that does not contain element 1, stored as a
@@ -21,24 +21,6 @@ FULL_ENUM_MAX_N = 24
 
 class CapacityError(ValueError):
     """An enumeration request exceeds the supported problem size."""
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """The element set {1..n}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ground set needs n >= 1, got {self.n}")
-
-    def elements(self) -> range:
-        return range(1, self.n + 1)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All unordered element pairs (i, j) with i < j."""
-        return itertools.combinations(self.elements(), 2)
 
 
 @dataclass(frozen=True, order=True)

@@ -1,14 +1,26 @@
 """Exhaustive ground truth on small ground sets, and the cross-check harness.
 
-Everything here works straight from the definitions: scan subsets of the
-bipartition pool and test pair coverage. Each pool member carries a bitmask
-of the element pairs it cuts, so a family separates exactly when the OR of
-its masks covers all C(n,2) pair bits. Scans are capped at n <= 5.
+Everything here works straight from the definitions. Each pool member
+carries a bitmask of the element pairs it cuts, so a family separates
+exactly when the OR of its masks covers all C(n,2) pair bits, and a
+separating family is minimal exactly when every member cuts a pair that no
+other member cuts.
+
+The three scans share one walk (`_covering_prefixes`) over the pool's index
+subsets in lexicographic order. It carries the running OR and stops
+descending at the first prefix that covers every pair, since every
+extension of that prefix by later indices covers too; counts add those
+extensions with `comb` and streams expand them with `combinations`. For
+minimal families it also carries the pairs cut exactly once and prunes a
+branch as soon as some chosen member owns none, because adding members never
+gives a pair back. Scans are capped at n <= 5.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -16,7 +28,6 @@ from . import counting, tree
 from .core import (
     BipartitionFamily,
     CapacityError,
-    GroundSet,
     all_bipartitions,
     bipartition_count,
 )
@@ -29,29 +40,65 @@ def _require_oracle_n(n: int) -> None:
         raise CapacityError(f"brute-force scans support 2 <= n <= {ORACLE_MAX_N} (got n={n})")
 
 
-def _cut_masks(n: int, proper_only: bool):
-    pool = all_bipartitions(n, proper_only)
-    pairs = list(GroundSet(n).pairs())
-    masks = []
-    for b in pool:
-        m = 0
-        for idx, (i, j) in enumerate(pairs):
-            if b.cuts(i, j):
-                m |= 1 << idx
-        masks.append(m)
-    return pool, masks, (1 << len(pairs)) - 1
+def _cut_masks(n: int, proper_only: bool) -> tuple[list[int], int]:
+    """Pair masks of the pool members, in pool order, and the all-pairs mask.
+
+    Bit p stands for the p-th pair (i, j), i < j, in lexicographic order. A
+    coblock cuts exactly the pairs with one element in it, so its mask is the
+    XOR of its elements' pair masks; doubling the list once per element 2..n
+    visits the coblocks in increasing order, as the pool lists them.
+    """
+    touching = [0] * n  # touching[i]: the pairs holding element i+1
+    for p, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        touching[a] |= 1 << p
+        touching[b] |= 1 << p
+    masks = [0]
+    for t in touching[1:]:
+        masks += [m ^ t for m in masks]
+    return masks[1:] if proper_only else masks, (1 << (n * (n - 1) // 2)) - 1
 
 
-def _is_minimal(masks: list[int], full: int) -> bool:
-    # prefix/suffix ORs; a member is redundant iff the others still cover full
+def _covering_prefixes(
+    masks: list[int], full: int, size: int | None, minimal: bool
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (prefix, start) for each index subset that covers full while no
+    shorter prefix of it does, in lexicographic order. The covering families
+    that begin with prefix are prefix plus any indices from start on.
+
+    With a size, only prefixes of at most size indices that leave room for a
+    family of exactly size members are walked. With minimal, a branch is
+    dropped as soon as some chosen member owns no pair (cuts no pair that the
+    others leave uncut), so every prefix yielded is a minimal family.
+    """
     m = len(masks)
-    prefix = [0] * (m + 1)
-    suffix = [0] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] | masks[i]
-    for i in reversed(range(m)):
-        suffix[i] = suffix[i + 1] | masks[i]
-    return all(prefix[i] | suffix[i + 1] != full for i in range(m))
+    chosen: list[int] = []
+
+    def extend(start: int, acc: int, once: int):
+        # acc: the pairs the chosen members cut; once: those cut by exactly one
+        depth = len(chosen) + 1  # of the prefixes tried here
+        stop = m if size is None else m - size + depth
+        for j in range(start, stop):
+            c = masks[j]
+            if minimal:
+                own = c & ~acc
+                if not own:
+                    continue  # c cuts no pair the chosen members leave uncut
+                lost = once & c
+                once_now = (once ^ lost) | own
+                # only members whose own pairs c also cuts can have run out
+                if lost and not all(masks[i] & once_now for i in chosen):
+                    continue
+            else:
+                once_now = 0
+            chosen.append(j)
+            if acc | c == full:
+                yield tuple(chosen), j + 1
+            elif depth != size:
+                yield from extend(j + 1, acc | c, once_now)
+            chosen.pop()
+
+    if size != 0:  # an empty family covers no pair, and no member fits it
+        yield from extend(0, 0, 0)
 
 
 def brute_count_separating(n: int, k: int, proper_only: bool = False) -> int:
@@ -59,17 +106,12 @@ def brute_count_separating(n: int, k: int, proper_only: bool = False) -> int:
     _require_oracle_n(n)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _, masks, full = _cut_masks(n, proper_only)
-    if k > len(masks):
-        return 0
-    count = 0
-    for combo in itertools.combinations(masks, k):
-        acc = 0
-        for m in combo:
-            acc |= m
-        if acc == full:
-            count += 1
-    return count
+    masks, full = _cut_masks(n, proper_only)
+    m = len(masks)
+    return sum(
+        math.comb(m - start, k - len(prefix))
+        for prefix, start in _covering_prefixes(masks, full, k, False)
+    )
 
 
 def separating_families(
@@ -78,23 +120,23 @@ def separating_families(
     proper_only: bool = False,
     minimal_only: bool = False,
 ) -> Iterator[BipartitionFamily]:
-    """Yield separating families in canonical order; size=None means every size."""
+    """Yield separating families in canonical order; size=None means every size.
+
+    The order is by size, then lexicographic in the pool's coblock order.
+    """
     _require_oracle_n(n)
-    pool, masks, full = _cut_masks(n, proper_only)
-    sizes = range(len(pool) + 1) if size is None else [size]
+    pool = all_bipartitions(n, proper_only)
+    masks, full = _cut_masks(n, proper_only)
+    m = len(pool)
+    sizes = range(m + 1) if size is None else [size]
     for k in sizes:
-        if k < 0 or k > len(pool):
+        if k < 0 or k > m:
             continue
-        for idxs in itertools.combinations(range(len(pool)), k):
-            sel = [masks[i] for i in idxs]
-            acc = 0
-            for m in sel:
-                acc |= m
-            if acc != full:
-                continue
-            if minimal_only and not _is_minimal(sel, full):
-                continue
-            yield BipartitionFamily(n, tuple(pool[i] for i in idxs))
+        for prefix, start in _covering_prefixes(masks, full, k, minimal_only):
+            if minimal_only and len(prefix) < k:
+                continue  # a minimal family has no separating prefix but itself
+            for rest in itertools.combinations(range(start, m), k - len(prefix)):
+                yield BipartitionFamily(n, tuple(pool[i] for i in prefix + rest))
 
 
 def brute_minimal_max_families(n: int) -> list[BipartitionFamily]:
@@ -105,19 +147,9 @@ def brute_minimal_max_families(n: int) -> list[BipartitionFamily]:
 def brute_minimal_size_profile(n: int) -> dict[int, int]:
     """size -> number of minimal separating families of that size, all sizes scanned."""
     _require_oracle_n(n)
-    _, masks, full = _cut_masks(n, False)
-    profile: dict[int, int] = {}
-    for k in range(len(masks) + 1):
-        c = 0
-        for combo in itertools.combinations(masks, k):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full and _is_minimal(list(combo), full):
-                c += 1
-        if c:
-            profile[k] = c
-    return profile
+    masks, full = _cut_masks(n, False)
+    sizes = Counter(len(prefix) for prefix, _ in _covering_prefixes(masks, full, None, True))
+    return dict(sorted(sizes.items()))
 
 
 def _brute_min_ground(k: int, proper: bool) -> tuple[int, int]:

@@ -124,12 +124,11 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     Input must be a spanning tree on n >= 2 vertices; this inverts
     unique_cut_graph on maximum-size minimal separating families. With the
     tree rooted at 1, the side of edge (parent, v) avoiding 1 is the subtree
-    of v, and all subtree masks come from one pass in reverse BFS order.
+    of v, and all subtree masks come from one pass in reverse BFS order. The
+    same BFS checks the input: n-1 edges that reach every vertex form a tree.
     """
     if g.n < 2:
         raise ValueError("edge-cut family needs n >= 2")
-    if not is_spanning_tree(g):
-        raise ValueError("input is not a spanning tree")
     adj = g.adjacency()
     parent = {1: 0}
     order = [1]
@@ -138,6 +137,8 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
             if y not in parent:
                 parent[y] = x
                 order.append(y)
+    if len(g.edges) != g.n - 1 or len(order) != g.n:
+        raise ValueError("input is not a spanning tree")
     sub = [0] + [1 << i for i in range(g.n)]  # v's own bit, to start
     for v in reversed(order):
         sub[parent[v]] |= sub[v]

@@ -11,18 +11,9 @@ from sepfam import (
     BipartitionFamily,
     BipartitionTuple,
     CapacityError,
-    GroundSet,
     all_bipartitions,
     bipartition_count,
 )
-
-
-def test_ground_set_basics():
-    g = GroundSet(4)
-    assert list(g.elements()) == [1, 2, 3, 4]
-    assert list(g.pairs()) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    with pytest.raises(ValueError):
-        GroundSet(0)
 
 
 def test_worked_example_masks(ex):
@@ -99,7 +90,7 @@ def test_cuts_on_the_worked_example(ex):
 
 def test_trivial_bipartition_cuts_nothing():
     triv = Bipartition(4)
-    assert not any(triv.cuts(i, j) for i, j in GroundSet(4).pairs())
+    assert not any(triv.cuts(i, j) for i, j in itertools.combinations(range(1, 5), 2))
 
 
 def test_cuts_range_errors():

@@ -8,8 +8,10 @@ import helpers
 import reference_tables as ref
 import sepfam.counting
 from sepfam import (
+    BipartitionFamily,
     CapacityError,
     ValidationReport,
+    all_bipartitions,
     brute_count_separating,
     brute_minimal_max_families,
     brute_minimal_size_profile,
@@ -39,6 +41,46 @@ def test_brute_matches_reference_live():
                 if helpers.naive_is_separating(list(combo), n)
             )
             assert brute_count_separating(n, k) == want, (n, k)
+
+
+def test_separating_families_match_a_filtered_scan():
+    # every stream in order, and every count, against combinations of the
+    # pool filtered by the row predicates, which share no code with the walk
+    for n in (2, 3, 4):
+        for proper in (False, True):
+            pool = all_bipartitions(n, proper)
+            for minimal in (False, True):
+                keep = (
+                    BipartitionFamily.is_minimal_separating
+                    if minimal
+                    else BipartitionFamily.is_separating
+                )
+                by_size = []
+                for k in range(len(pool) + 1):
+                    fams = (BipartitionFamily(n, c) for c in itertools.combinations(pool, k))
+                    by_size.append([fam for fam in fams if keep(fam)])
+                for k in range(len(pool) + 2):
+                    want = by_size[k] if k <= len(pool) else []
+                    got = list(separating_families(n, k, proper, minimal))
+                    assert got == want, (n, k, proper, minimal)
+                    if not minimal:
+                        assert brute_count_separating(n, k, proper) == len(want), (n, k, proper)
+                everything = list(separating_families(n, None, proper, minimal))
+                assert everything == [fam for row in by_size for fam in row], (n, proper, minimal)
+
+
+def test_minimal_size_profile_matches_definition():
+    # minimality by the raw definition: no proper subfamily separates
+    for n in (2, 3, 4):
+        pool = helpers.naive_all_bipartitions(n)
+        want: dict[int, int] = {}
+        for k in range(len(pool) + 1):
+            for combo in itertools.combinations(pool, k):
+                if helpers.naive_is_minimal(list(combo), n):
+                    want[k] = want.get(k, 0) + 1
+        prof = brute_minimal_size_profile(n)
+        assert prof == want, n
+        assert list(prof) == sorted(prof), n  # sizes ascending
 
 
 def test_oracle_capacity():

@@ -83,6 +83,10 @@ def test_edge_cut_family_rejects():
         edge_cut_family(LabeledGraph.from_edges(3, [(1, 2)]))
     with pytest.raises(ValueError):
         edge_cut_family(LabeledGraph(1))
+    # n-1 edges with a cycle miss a vertex; n edges reach them all
+    for edges in ([(1, 2), (2, 3), (1, 3)], [(1, 2), (2, 3), (3, 4), (1, 4)]):
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            edge_cut_family(LabeledGraph.from_edges(4, edges))
 
 
 def test_code_fixtures():
