@@ -9,6 +9,7 @@ parse, or capacity errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -230,7 +231,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sepfam` parser, built once per process; nothing changes it after."""
     p = argparse.ArgumentParser(
         prog="sepfam",
         description="Exact combinatorics of separating families of bipartitions.",

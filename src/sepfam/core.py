@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 FULL_ENUM_MAX_N = 24
 
@@ -176,14 +178,21 @@ class BipartitionTuple:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _set_elements(mask: int) -> tuple[int, ...]:
-    """Elements whose bits are set in mask, ascending (bit i-1 is element i).
+def select_set_bits(items: Iterable[T], mask: int) -> Iterator[T]:
+    """The items at the set bits of mask, in order (item j for bit j).
 
-    The reversed binary string, mapped to 0/1 bytes, selects from 1..len with
-    itertools.compress, so no Python-level loop runs over the elements.
+    The reversed binary string, mapped to 0/1 bytes, selects from items with
+    itertools.compress, so no Python-level loop runs over the bits.
     """
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    return tuple(itertools.compress(range(1, len(flags) + 1), flags))
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+
+
+def _set_elements(mask: int) -> tuple[int, ...]:
+    """Elements whose bits are set in mask, ascending (bit i-1 is element i)."""
+    # a tuple built straight from the unsized iterator is allocated at one
+    # size and resized, which keeps filling CPython's per-size tuple free
+    # lists; going through a list allocates it once at its final size
+    return tuple([*select_set_bits(range(1, mask.bit_length() + 1), mask)])
 
 
 def char_rows(n: int, coblocks: Sequence[int]) -> list[int]:

@@ -9,6 +9,10 @@ Edge lists read "1-2,2-3,3-4" and codes "2,3".
 External labels may be arbitrary distinct positive integers; parsing
 normalizes them to 1..n in increasing order and reports the mapping.
 Repeated bipartitions are dropped silently (families are sets).
+
+Compact text is read and written from coblock mask bits: parsing maps each
+label to its bit through one dict and builds each member from its coblock
+mask, and writing picks, for each block, the label strings of the set bits.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Bipartition, BipartitionFamily
+from .core import Bipartition, BipartitionFamily, select_set_bits
 from .tree import LabeledGraph
 
 
@@ -41,9 +45,27 @@ def family_to_doc(f: BipartitionFamily) -> dict:
 
 
 def family_to_compact(f: BipartitionFamily) -> str:
-    return ";".join(
-        "|".join(",".join(str(x) for x in block) for block in b.blocks()) for b in f
-    )
+    labels = [str(i) for i in range(1, f.n + 1)]
+    full = (1 << f.n) - 1
+    parts = []
+    for b in f:
+        first = ",".join(select_set_bits(labels, full ^ b.coblock))
+        if b.coblock:
+            first += "|" + ",".join(select_set_bits(labels, b.coblock))
+        parts.append(first)
+    return ";".join(parts)
+
+
+def _check_block(block: object) -> None:
+    """Raise unless block is a nonempty list of positive ints (not bools)."""
+    if not isinstance(block, list) or not block:
+        raise ValueError("each block must be a nonempty list")
+    if set(map(type, block)) == {int} and min(block) >= 1:
+        return
+    # slow path: name the first bad label; int subclasses other than bool pass
+    for x in block:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise ValueError(f"labels must be positive integers, got {x!r}")
 
 
 def _family_from_blocklists(biparts: list, n: int | None) -> ParsedFamily:
@@ -53,15 +75,10 @@ def _family_from_blocklists(biparts: list, n: int | None) -> ParsedFamily:
         for bp in biparts:
             if not isinstance(bp, list) or not 1 <= len(bp) <= 2:
                 raise ValueError("each bipartition must be a list of one or two blocks")
-            flat = []
             for block in bp:
-                if not isinstance(block, list) or not block:
-                    raise ValueError("each block must be a nonempty list")
-                for x in block:
-                    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                        raise ValueError(f"labels must be positive integers, got {x!r}")
-                    flat.append(x)
-            if len(set(flat)) != len(flat):
+                _check_block(block)
+            flat = set(bp[0]).union(*bp[1:])
+            if len(flat) != sum(map(len, bp)):
                 raise ValueError("blocks overlap or repeat an element")
             seen_universes.add(frozenset(flat))
         if len(seen_universes) != 1:
@@ -73,14 +90,18 @@ def _family_from_blocklists(biparts: list, n: int | None) -> ParsedFamily:
         universe = list(range(1, n + 1))
     if n is not None and n != len(universe):
         raise ValueError(f"n={n} but {len(universe)} distinct labels are present")
-    label_map = {lab: pos for pos, lab in enumerate(universe, start=1)}
     m = len(universe)
+    bit = {lab: 1 << pos for pos, lab in enumerate(universe)}
+    # each bp already partitions the universe, so its coblock is the block
+    # without the smallest label, and Bipartition.from_blocks has nothing to add
+    lowest = universe[0]
     members = tuple(
-        Bipartition.from_blocks(m, [[label_map[x] for x in block] for block in bp])
+        Bipartition(m, 0 if len(bp) == 1 else sum(map(bit.__getitem__, bp[lowest in bp[0]])))
         for bp in biparts
     )
-    identity = all(k == v for k, v in label_map.items())
-    return ParsedFamily(BipartitionFamily(m, members), {} if identity else label_map)
+    identity = universe[-1] == m  # m distinct positive labels, the largest m
+    label_map = {} if identity else {lab: pos for pos, lab in enumerate(universe, start=1)}
+    return ParsedFamily(BipartitionFamily(m, members), label_map)
 
 
 def family_from_doc(obj: object) -> ParsedFamily:
@@ -103,21 +124,33 @@ def family_from_compact(text: str, n: int | None = None) -> ParsedFamily:
         raise ValueError("empty family text")
     biparts = []
     for part in body.split(";"):
-        part = part.strip()
-        if not part:
+        if not part or part.isspace():
             raise ValueError("empty bipartition entry")
         blocks = []
         for chunk in part.split("|"):
-            items = []
-            for tok in chunk.split(","):
-                tok = tok.strip()
-                try:
-                    items.append(int(tok))
-                except ValueError:
-                    raise ValueError(f"bad label {tok!r}") from None
-            blocks.append(items)
+            try:
+                blocks.append(list(map(int, chunk.split(","))))
+            except ValueError:
+                blocks.append(_labels_by_token(chunk))
         biparts.append(blocks)
     return _family_from_blocklists(biparts, n)
+
+
+def _labels_by_token(chunk: str) -> list[int]:
+    """Parse one block token by token, naming the first bad label.
+
+    Blocks that int() refused as a whole come here: int() ignores the
+    whitespace around a token except the separators \\x1c-\\x1f, which
+    str.strip() removes.
+    """
+    items = []
+    for tok in chunk.split(","):
+        tok = tok.strip()
+        try:
+            items.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad label {tok!r}") from None
+    return items
 
 
 def family_from_text(text: str, n: int | None = None) -> ParsedFamily:

@@ -81,3 +81,35 @@ def naive_edge_cut_family(n, edges):
                         stack.append(v)
         out.add(frozenset([frozenset(side), frozenset(range(1, n + 1)) - side]))
     return out
+
+
+def naive_from_compact(text):
+    """A compact family text as a frozenset of members, each a frozenset of
+    blocks, relabeled to 1..n in increasing label order, and the relabeling
+    (empty when the labels are already 1..n)."""
+    members = [
+        [[int(tok.strip()) for tok in chunk.split(",")] for chunk in part.split("|")]
+        for part in text.strip().split(";")
+    ]
+    universe = sorted({x for member in members for block in member for x in block})
+    relabel = {lab: pos for pos, lab in enumerate(universe, start=1)}
+    fam = frozenset(
+        frozenset(frozenset(relabel[x] for x in block) for block in member) for member in members
+    )
+    return fam, ({} if all(a == b for a, b in relabel.items()) else relabel)
+
+
+def naive_compact(fam):
+    """Canonical compact text of a frozenset family over 1..n: the block with 1
+    first, labels ascending, members in increasing coblock order (a coblock
+    ranks by its elements read from the largest down)."""
+
+    def coblock(member):
+        return next((block for block in member if 1 not in block), frozenset())
+
+    def text(member):
+        blocks = sorted(member, key=lambda block: 1 not in block)
+        return "|".join(",".join(str(x) for x in sorted(block)) for block in blocks)
+
+    order = sorted(fam, key=lambda member: sorted(coblock(member), reverse=True))
+    return ";".join(text(member) for member in order)

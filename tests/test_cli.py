@@ -1,11 +1,15 @@
 """The command-line surface, driven in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import sepfam.counting
-from sepfam.cli import main
+from sepfam.cli import build_parser, main
 from sepfam.counting import decimal_text
 
 P_DOC = '{"n": 4, "bipartitions": [[[1, 2], [3, 4]], [[1, 3], [2, 4]]]}'
@@ -17,6 +21,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_run(*argv):
+    """Exit code and stdout of `sepfam <argv>` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sepfam.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepfam.cli", *argv],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    edges = tmp_path / "t.txt"
+    edges.write_text("1-2,2-3,3-4")
+    fam = tmp_path / "fam.txt"
+    fam.write_text("1|2,3,4;1,2|3,4;1,2,3|4;1,3|2,4")  # separating, not minimal
+    out = tmp_path / "out.json"
+    calls = [
+        ("map", "tree-to-family", "--input", str(edges), "--out", str(out)),
+        ("map", "tree-to-family", "--input", str(edges)),
+        ("check", "--input", str(fam), "--minimal"),
+        ("check", "--input", str(fam)),
+    ]
+    results = [run(capsys, *argv)[:2] for argv in calls]
+    written = out.read_text()
+    assert results[0] == (0, "")
+    assert results[1] == (0, written)  # no --out: stdout
+    assert results[2] == (1, "separating: yes, minimal: no\n")
+    assert results[3] == (0, "separating: yes\n")  # no --minimal: no minimal part
+    assert results == [fresh_run(*argv) for argv in calls]
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from sepfam import (
     all_bipartitions,
     bipartition_count,
 )
+from sepfam.core import _set_elements
 
 
 def test_worked_example_masks(ex):
@@ -40,6 +42,20 @@ def test_blocks_puts_block_with_1_first():
             outside = tuple(i for i in range(1, n + 1) if not co >> (i - 1) & 1)
             assert b.coblock_members() == inside
             assert b.blocks() == ((outside, inside) if inside else (outside,))
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython tuple free lists")
+def test_set_elements_does_not_fill_tuple_free_lists():
+    # a tuple built from an iterator with no length hint is allocated at one
+    # size and shrunk, so each freed result lands on another size's free list
+    rng = random.Random(3)
+    masks = [rng.getrandbits(width) & ~1 for width in range(1, 41)]
+    for mask in masks * 5:
+        _set_elements(mask)
+    before = sys.getallocatedblocks()
+    for i in range(20000):
+        _set_elements(masks[i % len(masks)])
+    assert sys.getallocatedblocks() - before < 5000
 
 
 def test_from_blocks_roundtrips_everywhere():

@@ -1,8 +1,13 @@
 """Parsing and serializing families, trees, and codes."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from sepfam import Bipartition, BipartitionFamily, LabeledGraph
 from sepfam.documents import (
@@ -16,6 +21,9 @@ from sepfam.documents import (
     family_to_doc,
     graph_from_edge_text,
 )
+
+# fixed examples keep the suite deterministic; deadline off for slow hosts
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def test_doc_roundtrip(ex):
@@ -70,36 +78,92 @@ def test_trivial_bipartition_in_documents():
 
 def test_empty_family_needs_n():
     assert family_from_doc({"n": 3, "bipartitions": []}).family == BipartitionFamily(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='an empty family needs an explicit "n"'):
         family_from_doc({"bipartitions": []})
 
 
+DOC_REJECTS = [
+    ([], "family document must be a JSON object"),
+    ({"bipartitions": 3}, 'family document needs a "bipartitions" list'),
+    ({"n": 0, "bipartitions": []}, '"n" must be a positive integer, got 0'),
+    ({"n": True, "bipartitions": []}, '"n" must be a positive integer, got True'),
+    ({"bipartitions": [[[1], [1, 2]]]}, "blocks overlap or repeat an element"),
+    ({"bipartitions": [[[1, 2], [2, 3]]]}, "blocks overlap or repeat an element"),
+    ({"bipartitions": [[[1, 2], [3]], [[1, 2], [4]]]}, "bipartitions cover different element sets"),
+    ({"n": 4, "bipartitions": [[[1], [2, 3]]]}, "n=4 but 3 distinct labels are present"),
+    ({"bipartitions": [[[0], [1]]]}, "labels must be positive integers, got 0"),
+    ({"bipartitions": [[["a"], [1]]]}, "labels must be positive integers, got 'a'"),
+    ({"bipartitions": [[[1], [2], [3]]]}, "each bipartition must be a list of one or two blocks"),
+    ({"bipartitions": [[]]}, "each bipartition must be a list of one or two blocks"),
+    ({"bipartitions": [[[1, True], [2]]]}, "labels must be positive integers, got True"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        [],  # not an object
-        {"bipartitions": 3},
-        {"n": 0, "bipartitions": []},
-        {"n": True, "bipartitions": []},
-        {"bipartitions": [[[1], [1, 2]]]},  # overlap
-        {"bipartitions": [[[1, 2], [2, 3]]]},  # overlap again
-        {"bipartitions": [[[1, 2], [3]], [[1, 2], [4]]]},  # universes differ
-        {"n": 4, "bipartitions": [[[1], [2, 3]]]},  # n does not match the labels
-        {"bipartitions": [[[0], [1]]]},  # nonpositive label
-        {"bipartitions": [[["a"], [1]]]},  # non-integer label
-        {"bipartitions": [[[1], [2], [3]]]},  # three blocks
-        {"bipartitions": [[]]},  # no blocks
-    ],
+    "doc, message", DOC_REJECTS, ids=[f"doc{i}" for i in range(len(DOC_REJECTS))]
 )
-def test_doc_rejects(doc):
-    with pytest.raises(ValueError):
+def test_doc_rejects(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         family_from_doc(doc)
 
 
-@pytest.mark.parametrize("text", ["", " ; ", "1,2|", "1,x|2", "1|2|3"])
-def test_compact_rejects(text):
-    with pytest.raises(ValueError):
+COMPACT_REJECTS = [
+    ("", "empty family text"),
+    (" ; ", "empty bipartition entry"),
+    ("1,2|", "bad label ''"),
+    ("1,x|2", "bad label 'x'"),
+    ("1|2|3", "each bipartition must be a list of one or two blocks"),
+]
+
+
+@pytest.mark.parametrize("text, message", COMPACT_REJECTS, ids=[t for t, _ in COMPACT_REJECTS])
+def test_compact_rejects(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         family_from_compact(text)
+
+
+@st.composite
+def compact_texts(draw, max_n=64):
+    """Compact text of a random family: labels relabeled or not, whitespace
+    around tokens, blocks in either order, repeated and one-block members."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        labels = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True)))
+    else:
+        labels = list(range(1, n + 1))
+    coblocks = draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        coblocks.append(0)  # the one-block member
+    if draw(st.booleans()):
+        coblocks.append(draw(st.sampled_from(coblocks)))  # a repeated member
+    coblocks = draw(st.permutations(coblocks))
+    # int() keeps \x1c around a token where str.strip() removes it
+    pad = st.sampled_from(["", " ", "\t", "\n"] + (["\x1c"] if draw(st.booleans()) else []))
+    parts = []
+    for c in coblocks:
+        co = [lab for i, lab in enumerate(labels[1:]) if c >> i & 1]
+        rest = [lab for lab in labels if lab not in co]
+        blocks = [b for b in (rest, co) if b]
+        if draw(st.booleans()):
+            blocks.reverse()
+        parts.append("|".join(",".join(f"{draw(pad)}{lab}{draw(pad)}" for lab in b) for b in blocks))
+    return ";".join(parts)
+
+
+@PROPERTY
+@given(compact_texts())
+@example("1")
+@example("3|7,10;3,7|10;3,7,10;10|7 , 3")
+def test_compact_roundtrip_matches_naive(text):
+    want_family, want_map = helpers.naive_from_compact(text)
+    parsed = family_from_compact(text)
+    assert {helpers.to_naive(b) for b in parsed.family} == want_family
+    assert parsed.label_map == want_map
+    out = family_to_compact(parsed.family)
+    assert out == helpers.naive_compact(want_family)
+    again = family_from_compact(out)
+    assert again.family == parsed.family
+    assert again.label_map == {}
 
 
 def test_edge_text_roundtrip():
