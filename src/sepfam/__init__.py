@@ -19,7 +19,6 @@ from .core import (
 )
 from .counting import (
     IdentityCheck,
-    StirlingTable,
     ceil_log2,
     check_matrix_count_identity,
     check_stirling_first_sum,
@@ -76,7 +75,6 @@ __all__ = [
     "IdentityCheck",
     "LabeledGraph",
     "LabeledTree",
-    "StirlingTable",
     "ValidationReport",
     "all_bipartitions",
     "bipartition_count",

@@ -3,7 +3,8 @@
 Subcommands: check, map, enumerate, count, verify, table. Exit codes:
 0 success, 1 a semantic check failed (family not separating, counts
 disagree, input not a spanning tree, verification failures), 2 usage,
-parse, or capacity errors.
+parse, or capacity errors, 3 an internal arithmetic error (a closed form
+that did not divide exactly or came out negative).
 """
 
 from __future__ import annotations
@@ -87,10 +88,11 @@ def _cmd_map(args) -> int:
         _write_out(args, out + "\n")
         return 0
     g = documents.graph_from_edge_text(text)
-    if not tree.is_spanning_tree(g):
+    try:
+        fam = tree.edge_cut_family(g)
+    except ValueError:
         print("error: edge list is not a spanning tree", file=sys.stderr)
         return 1
-    fam = tree.edge_cut_family(g)
     fmt = args.format or "doc"
     if fmt == "doc":
         out = json.dumps(documents.family_to_doc(fam))
@@ -306,9 +308,14 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # OverflowError: an input too large for math.comb and the like
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # any other: an inexact division or a negative count, a fault of the program
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

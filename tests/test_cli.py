@@ -149,11 +149,12 @@ def test_map_rejects_non_minimal_family(tmp_path, capsys):
 
 
 def test_map_rejects_non_tree(tmp_path, capsys):
+    # a triangle and a 4-cycle have n edges; the last has n - 1 but never reaches 4 or 5
     f = tmp_path / "g.txt"
-    f.write_text("1-2,2-3,1-3")
-    code, _, err = run(capsys, "map", "tree-to-family", "--input", str(f))
-    assert code == 1
-    assert "not a spanning tree" in err
+    for edges in ("1-2,2-3,1-3", "1-2,2-3,3-4,1-4", "1-2,1-3,2-3,4-5"):
+        f.write_text(edges)
+        code, out, err = run(capsys, "map", "tree-to-family", "--input", str(f))
+        assert (code, out, err) == (1, "", "error: edge list is not a spanning tree\n"), edges
 
 
 def test_map_malformed_edges_exit_2(tmp_path, capsys):
@@ -378,6 +379,42 @@ def test_verify_fault_injection_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "result: FAIL" in out
     assert any(line.startswith("FAIL stirling-first-sum") for line in out.splitlines())
+
+
+def test_verify_fault_in_a_stirling_row_exits_1(capsys, monkeypatch):
+    # the sums read whole rows from the store, not stirling1_unsigned
+    real = sepfam.counting._FIRST.row
+
+    def warped(k):
+        row = real(k)
+        return (*row[:2], row[2] + 1, *row[3:]) if k == 4 else row
+
+    monkeypatch.setattr(sepfam.counting._FIRST, "row", warped)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--k-max", "6")
+    assert code == 1
+    assert "result: FAIL" in out
+    groups = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+    assert any(
+        g.startswith("closed-forms-agree-") or g.endswith("-vs-oracle") or g == "transpose-symmetry"
+        for g in groups
+    ), groups
+
+
+@pytest.mark.parametrize("n, k", [(6, 4), (40, 400)])
+def test_internal_arithmetic_error_exits_3(capsys, monkeypatch, n, k):
+    # at (40, 400) the dividend has over 4300 digits, past what str() may print
+    real = sepfam.counting.factorial
+    monkeypatch.setattr(sepfam.counting, "factorial", lambda m: real(m) * (1000003 if m == k else 1))
+    code, out, err = run(capsys, "count", "tau", "--n", str(n), "--k", str(k), "--method", "v1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: inexact division") and err.count("\n") == 1
+
+
+def test_overflowing_input_exits_2_not_3(capsys):
+    code, out, err = run(capsys, "count", "min-ground", "--k", str(10**30))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_verify_bad_bounds_exit_2(capsys):

@@ -1,6 +1,7 @@
 """Counting formulas against frozen exhaustive tables, anchors, and identities."""
 
 import itertools
+import random
 from math import comb, factorial
 
 import pytest
@@ -11,7 +12,6 @@ import reference_tables as ref
 import sepfam.counting
 from sepfam import (
     IdentityCheck,
-    StirlingTable,
     bipartition_count,
     ceil_log2,
     check_matrix_count_identity,
@@ -30,7 +30,7 @@ from sepfam import (
     stirling2,
     surjective_sequences,
 )
-from sepfam.counting import _count_family_side
+from sepfam.counting import _count_family_side, _StirlingRows
 
 
 def _surjections(k, i):
@@ -88,14 +88,70 @@ def test_stirling_anchors():
     assert surjective_sequences(3, -1) == 0
 
 
-def test_stirling_table_type():
-    t = StirlingTable("second")
-    assert t.entry(4, 2) == 7
-    assert t.max_k >= 4
-    assert t.entry(-1, 0) == 0
-    assert t.entry(2, 5) == 0
-    with pytest.raises(ValueError):
-        StirlingTable("third")
+def _plain_rows(first, top):
+    # every row 0..top of a triangle by the textbook recurrence, one at a time
+    row = [1]
+    yield row
+    for k in range(1, top + 1):
+        row = [0] + [((k - 1) if first else i) * row[i] + row[i - 1] for i in range(1, k)] + [1]
+        yield row
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_stirling_rows_to_300_match_plain_recurrence(first):
+    # asked from the top down, so rows 256..299 are rebuilt from checkpoints
+    store = _StirlingRows(first)
+    got = {k: store.row(k) for k in range(300, -1, -1)}
+    public = stirling1_unsigned if first else stirling2
+    assert public(-1, 0) == public(-1, -1) == 0
+    for k, want in enumerate(_plain_rows(first, 300)):
+        assert got[k] == tuple(want), k
+        assert [public(k, i) for i in range(-1, k + 2)] == [0, *want, 0], k
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_stirling_rows_to_1000_match_plain_recurrence(first):
+    store = _StirlingRows(first)
+    seen = {}  # hashes, not rows: 200 rows near 1000 would hold ~100 MB
+
+    def ask(k):
+        row = store.row(k)
+        seen.setdefault(k, hash(row))
+        assert seen[k] == hash(row), k
+        return row
+
+    # row 1000 walks up from row 0 and leaves checkpoints 263, 271, ..., 999
+    ask(1000)
+    assert store._kept.keys() == {*range(256), *range(263, 1000, 8)}
+    assert set(store._recent) == {1000}
+    # 700 is rebuilt from checkpoint 695, then served from the recent rows
+    assert ask(700) is ask(700)
+    # a checkpoint row is served as kept, not cached
+    ask(263)
+    ask(999)
+    assert set(store._recent) == {1000, 700}
+    # neighbours up and down; a fifth recent row evicts the oldest
+    for k in (297, 298, 300):
+        ask(k)
+    assert set(store._recent) == {700, 297, 298, 300}
+    ask(299)
+    assert set(store._recent) == {297, 298, 300, 299}
+    ask(1000)  # rebuilt from checkpoint 999
+    rng = random.Random(20111)
+    for k in [rng.randint(0, 1000) for _ in range(200)]:
+        ask(k)
+    # rows 0..255, the 93 checkpoints 263..999 and at most 4 recent rows
+    assert len(store._kept) + len(store._recent) <= 256 + -(-744 // 8) + 4
+    for k, want in enumerate(_plain_rows(first, 1000)):
+        if k in seen:
+            assert hash(tuple(want)) == seen[k], k
+
+
+def test_stirling_rows_held_are_bounded():
+    stirling1_unsigned(1000, 3)
+    stirling2(1000, 3)
+    for store in (sepfam.counting._FIRST, sepfam.counting._SECOND):
+        assert len(store._kept) + len(store._recent) <= 256 + -(-744 // 8) + 4
 
 
 def test_counts_match_frozen_tables():
