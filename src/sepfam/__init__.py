@@ -12,7 +12,6 @@ from .core import (
     FULL_ENUM_MAX_N,
     Bipartition,
     BipartitionFamily,
-    BipartitionTuple,
     CapacityError,
     all_bipartitions,
     bipartition_count,
@@ -36,7 +35,7 @@ from .counting import (
     stirling2,
     surjective_sequences,
 )
-from .matrix import CharMatrix, cut_vector, encode_family
+from .matrix import CharMatrix, encode_family
 from .oracle import (
     ORACLE_MAX_N,
     CheckResult,
@@ -50,7 +49,6 @@ from .oracle import (
 from .tree import (
     TREE_ENUM_MAX_N,
     LabeledGraph,
-    LabeledTree,
     edge_cut_family,
     is_spanning_tree,
     minimal_max_families,
@@ -68,13 +66,11 @@ __all__ = [
     "TREE_ENUM_MAX_N",
     "Bipartition",
     "BipartitionFamily",
-    "BipartitionTuple",
     "CapacityError",
     "CharMatrix",
     "CheckResult",
     "IdentityCheck",
     "LabeledGraph",
-    "LabeledTree",
     "ValidationReport",
     "all_bipartitions",
     "bipartition_count",
@@ -91,7 +87,6 @@ __all__ = [
     "count_separating",
     "count_separating_dual",
     "cross_validate",
-    "cut_vector",
     "distinct_row_matrix_count",
     "edge_cut_family",
     "encode_family",

@@ -3,8 +3,8 @@
 Subcommands: check, map, enumerate, count, verify, table. Exit codes:
 0 success, 1 a semantic check failed (family not separating, counts
 disagree, input not a spanning tree, verification failures), 2 usage,
-parse, or capacity errors, 3 an internal arithmetic error (a closed form
-that did not divide exactly or came out negative).
+parse, capacity or out-of-memory errors, 3 an internal arithmetic error
+(a closed form that did not divide exactly or came out negative).
 """
 
 from __future__ import annotations
@@ -311,6 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         # OverflowError: an input too large for math.comb and the like
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input whose answer or table cannot be allocated, e.g. 2^(n-1) at n = 10^19
+        print("error: out of memory for this input size", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # any other: an inexact division or a negative count, a fault of the program

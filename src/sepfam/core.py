@@ -5,6 +5,10 @@ by its coblock, the block that does not contain element 1, stored as a
 bitmask in which bit i-1 stands for element i. The empty coblock encodes the
 one-block partition of the whole set. Everything here is immutable.
 
+A family is a set: `BipartitionFamily` is its one constructor, for every
+producer, and drops repeats and sorts the members by coblock mask. An
+ordered sequence with repeats is a plain tuple of `Bipartition`.
+
 The predicates run on the rows of the characteristic matrix (`char_rows`),
 built once per call in O(n*k): a family separates exactly when its rows are
 pairwise distinct.
@@ -103,10 +107,15 @@ class BipartitionFamily:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"family needs n >= 1, got {self.n}")
+        # keyed by coblock, repeats collapse and the sort compares ints, not
+        # dataclasses (equal n and mask is an equal member)
+        n = self.n
+        by_mask: dict[int, Bipartition] = {}
         for b in self.members:
-            if b.n != self.n:
-                raise ValueError(f"member over n={b.n} in a family over n={self.n}")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+            if b.n != n:
+                raise ValueError(f"member over n={b.n} in a family over n={n}")
+            by_mask[b.coblock] = b
+        object.__setattr__(self, "members", tuple(map(by_mask.__getitem__, sorted(by_mask))))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -116,12 +125,6 @@ class BipartitionFamily:
 
     def __contains__(self, item: object) -> bool:
         return item in self.members
-
-    def without(self, member: Bipartition) -> BipartitionFamily:
-        """The family with one member removed."""
-        if member not in self.members:
-            raise ValueError("not a member of this family")
-        return BipartitionFamily(self.n, tuple(b for b in self.members if b != member))
 
     def rows(self) -> list[int]:
         """Characteristic-matrix rows of the members in canonical order."""
@@ -142,37 +145,6 @@ class BipartitionFamily:
         return all(
             len({r & ~(1 << j) for r in rows}) != n for j in range(len(self.members))
         )
-
-
-@dataclass(frozen=True)
-class BipartitionTuple:
-    """Ordered bipartitions over one ground set; repeats allowed."""
-
-    n: int
-    entries: tuple[Bipartition, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"tuple needs n >= 1, got {self.n}")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for b in self.entries:
-            if b.n != self.n:
-                raise ValueError(f"entry over n={b.n} in a tuple over n={self.n}")
-
-    @classmethod
-    def from_family(cls, family: BipartitionFamily) -> BipartitionTuple:
-        """The family's members in canonical (coblock mask) order."""
-        return cls(family.n, family.members)
-
-    def to_family(self) -> BipartitionFamily:
-        """Forget order and repeats."""
-        return BipartitionFamily(self.n, self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Bipartition]:
-        return iter(self.entries)
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")

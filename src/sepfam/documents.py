@@ -36,12 +36,8 @@ class ParsedFamily:
         return bool(self.label_map)
 
 
-def bipartition_blocks(b: Bipartition) -> list[list[int]]:
-    return [list(block) for block in b.blocks()]
-
-
 def family_to_doc(f: BipartitionFamily) -> dict:
-    return {"n": f.n, "bipartitions": [bipartition_blocks(b) for b in f]}
+    return {"n": f.n, "bipartitions": [[list(block) for block in b.blocks()] for b in f]}
 
 
 def family_to_compact(f: BipartitionFamily) -> str:

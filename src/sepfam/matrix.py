@@ -1,23 +1,19 @@
-"""Characteristic 0/1 matrices of bipartition tuples.
+"""Characteristic 0/1 matrices of sequences of bipartitions.
 
-Row i records which entries cut element i away from element 1, so the first
-row is always zero and a tuple's entries form a separating family exactly
-when all rows are distinct. Rows are stored as k-bit integers, bit j for
-column j. Encoding, decoding and transposing are all one O(n*k) transpose,
-`core.char_rows`.
+Row i records which members of a sequence cut element i away from element
+1, so the first row is always zero and the members form a separating family
+exactly when all rows are distinct. Rows are stored as k-bit integers, bit
+j for column j. A sequence is a plain tuple of `Bipartition`, repeats
+allowed: column j is member j's coblock mask. Encoding, decoding and
+transposing are all one O(n*k) transpose, `core.char_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Bipartition, BipartitionFamily, BipartitionTuple, char_rows
-
-
-def cut_vector(p: Bipartition) -> tuple[int, ...]:
-    """Coordinate i is 1 when p cuts elements 1 and i; coordinate 1 is 0."""
-    return tuple(p.coblock >> (i - 1) & 1 for i in range(1, p.n + 1))
+from .core import Bipartition, BipartitionFamily, char_rows
 
 
 @dataclass(frozen=True)
@@ -58,18 +54,16 @@ class CharMatrix:
         return cls(len(mat), k, tuple(packed))
 
     @classmethod
-    def encode(cls, t: BipartitionTuple) -> CharMatrix:
-        """Column j is the cut vector of entry j."""
-        rows = char_rows(t.n, [e.coblock for e in t.entries])
-        return cls(t.n, len(t.entries), tuple(rows))
+    def encode(cls, n: int, members: Sequence[Bipartition]) -> CharMatrix:
+        """Column j is the coblock mask of members[j], a bipartition of {1..n}."""
+        for b in members:
+            if b.n != n:
+                raise ValueError(f"member over n={b.n} in a matrix over n={n}")
+        return cls(n, len(members), tuple(char_rows(n, [b.coblock for b in members])))
 
-    def decode(self) -> BipartitionTuple:
+    def decode(self) -> tuple[Bipartition, ...]:
         """Read each column back as a bipartition; inverse of encode."""
-        entries = tuple(Bipartition(self.n, co) for co in char_rows(self.k, self.rows))
-        return BipartitionTuple(self.n, entries)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[r >> j & 1 for j in range(self.k)] for r in self.rows]
+        return tuple(Bipartition(self.n, co) for co in char_rows(self.k, self.rows))
 
     def has_distinct_rows(self) -> bool:
         """Equivalent to the columns forming a separating family."""
@@ -89,4 +83,4 @@ class CharMatrix:
 
 def encode_family(f: BipartitionFamily) -> CharMatrix:
     """Encode a family's members in canonical order."""
-    return CharMatrix.encode(BipartitionTuple.from_family(f))
+    return CharMatrix.encode(f.n, f.members)

@@ -9,6 +9,9 @@ enumerated through their length-(n-2) codes.
 Both directions are linear in the input: the unique-cut graph is read off
 the characteristic-matrix rows in O(n*k) (rows one bit apart), and an edge's
 cut is a subtree of the tree rooted at element 1.
+
+A tree is a `LabeledGraph` whose n-1 edges reach every vertex, tested by
+one BFS from vertex 1; `prufer_decode` builds one by construction, unchecked.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .core import Bipartition, BipartitionFamily, CapacityError
 TREE_ENUM_MAX_N = 9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LabeledGraph:
     """Simple graph on vertices {1..n}; edges held as (i, j) pairs with i < j."""
 
@@ -63,39 +66,27 @@ class LabeledGraph:
             adj[j].add(i)
         return adj
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledTree(LabeledGraph):
-    """A spanning tree on {1..n}."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not is_spanning_tree(self):
-            raise ValueError("edges do not form a spanning tree")
+def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int]] | None:
+    """BFS from vertex 1: the vertices in visiting order and each one's parent
+    (0 for vertex 1), or None unless g has n-1 edges that reach all n vertices.
+    """
+    if len(g.edges) != g.n - 1:
+        return None
+    adj = g.adjacency()
+    parent = {1: 0}
+    order = [1]
+    for x in order:  # grows while it is read: a BFS
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    return (order, parent) if len(order) == g.n else None
 
 
 def is_spanning_tree(g: LabeledGraph) -> bool:
     """Connected with exactly n-1 edges (which forces acyclicity)."""
-    if len(g.edges) != g.n - 1:
-        return False
-    adj = g.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n
+    return _tree_bfs(g) is not None
 
 
 def unique_cut_graph(f: BipartitionFamily) -> LabeledGraph:
@@ -124,21 +115,15 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     Input must be a spanning tree on n >= 2 vertices; this inverts
     unique_cut_graph on maximum-size minimal separating families. With the
     tree rooted at 1, the side of edge (parent, v) avoiding 1 is the subtree
-    of v, and all subtree masks come from one pass in reverse BFS order. The
-    same BFS checks the input: n-1 edges that reach every vertex form a tree.
+    of v, and all subtree masks come from one pass in reverse order of the
+    BFS that checks the input.
     """
     if g.n < 2:
         raise ValueError("edge-cut family needs n >= 2")
-    adj = g.adjacency()
-    parent = {1: 0}
-    order = [1]
-    for x in order:  # grows while it is read: a BFS
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    if len(g.edges) != g.n - 1 or len(order) != g.n:
+    bfs = _tree_bfs(g)
+    if bfs is None:
         raise ValueError("input is not a spanning tree")
+    order, parent = bfs
     sub = [0] + [1 << i for i in range(g.n)]  # v's own bit, to start
     for v in reversed(order):
         sub[parent[v]] |= sub[v]
@@ -166,7 +151,7 @@ def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def prufer_decode(n: int, seq: Sequence[int]) -> LabeledTree:
+def prufer_decode(n: int, seq: Sequence[int]) -> LabeledGraph:
     """Rebuild the unique tree with code seq (length must be n-2)."""
     if n < 2:
         raise ValueError("codes are defined for n >= 2")
@@ -191,7 +176,7 @@ def prufer_decode(n: int, seq: Sequence[int]) -> LabeledTree:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
-    return LabeledTree(n, frozenset(edges))
+    return LabeledGraph(n, frozenset(edges))
 
 
 def _check_enum_cap(n: int) -> None:
@@ -201,7 +186,7 @@ def _check_enum_cap(n: int) -> None:
         raise CapacityError(f"tree enumeration is capped at n <= {TREE_ENUM_MAX_N} (got n={n})")
 
 
-def spanning_trees(n: int) -> Iterator[LabeledTree]:
+def spanning_trees(n: int) -> Iterator[LabeledGraph]:
     """All n^(n-2) labeled spanning trees, in lexicographic code order."""
     _check_enum_cap(n)
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):

@@ -13,7 +13,6 @@ import sepfam.counting
 from sepfam import (
     Bipartition,
     BipartitionFamily,
-    BipartitionTuple,
     CharMatrix,
     LabeledGraph,
     bipartition_count,
@@ -73,11 +72,11 @@ def _criterion_1_checks():
         failures.append("triple family not separating+minimal")
     if len(FQ) != FQ.n - 1:
         failures.append(f"triple family size {len(FQ)} != n-1")
-    got_p = CharMatrix.encode(BipartitionTuple(4, (P1, P2))).to_lists()
-    got_q = CharMatrix.encode(BipartitionTuple(4, (Q1, P1, Q3))).to_lists()
-    if got_p != M_P:
+    got_p = CharMatrix.encode(4, (P1, P2))
+    got_q = CharMatrix.encode(4, (Q1, P1, Q3))
+    if got_p != CharMatrix.from_rows(M_P):
         failures.append(f"pair matrix {got_p}")
-    if got_q != M_Q:
+    if got_q != CharMatrix.from_rows(M_Q):
         failures.append(f"triple matrix {got_q}")
     return failures
 

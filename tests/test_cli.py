@@ -417,6 +417,13 @@ def test_overflowing_input_exits_2_not_3(capsys):
     assert err.startswith("error: ")
 
 
+def test_unallocatable_input_exits_2(capsys):
+    # 2^(n-1) bipartitions at n = 10^19 cannot be allocated; refused at once
+    code, out, err = run(capsys, "count", "tau", "--n", "10000000000000000000", "--k", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_bad_bounds_exit_2(capsys):
     assert run(capsys, "verify", "--n-max", "1")[0] == 2
 

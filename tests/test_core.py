@@ -10,7 +10,6 @@ import helpers
 from sepfam import (
     Bipartition,
     BipartitionFamily,
-    BipartitionTuple,
     CapacityError,
     all_bipartitions,
     bipartition_count,
@@ -136,12 +135,10 @@ def test_family_canonicalizes_and_dedups(ex):
 def test_family_rejects_mixed_ground_sets(ex):
     with pytest.raises(ValueError):
         BipartitionFamily(5, (ex.p1,))
-
-
-def test_without(ex):
-    assert ex.fq.without(ex.q1) == BipartitionFamily(4, (ex.q2, ex.q3))
-    with pytest.raises(ValueError):
-        ex.fp.without(ex.q3)
+    # equal coblock masks over different ground sets are different members
+    for members in [(Bipartition(4), Bipartition(5)), (Bipartition(5), Bipartition(4))]:
+        with pytest.raises(ValueError, match="member over n=5"):
+            BipartitionFamily(4, members)
 
 
 def test_separating_worked_examples(ex):
@@ -195,13 +192,3 @@ def test_all_bipartitions_capacity():
     with pytest.raises(ValueError):
         all_bipartitions(0)
     assert bipartition_count(30) == 2**29  # the count itself has no cap
-
-
-def test_tuple_keeps_order_and_repeats(ex):
-    t = BipartitionTuple(4, (ex.p1, ex.p2, ex.p1))
-    assert len(t) == 3
-    assert list(t) == [ex.p1, ex.p2, ex.p1]
-    assert t.to_family() == ex.fp
-    assert BipartitionTuple.from_family(ex.fq).entries == ex.fq.members
-    with pytest.raises(ValueError):
-        BipartitionTuple(3, (ex.p1,))

@@ -11,7 +11,6 @@ import helpers
 
 from sepfam import Bipartition, BipartitionFamily, LabeledGraph
 from sepfam.documents import (
-    bipartition_blocks,
     code_to_text,
     edges_to_text,
     family_from_compact,
@@ -41,9 +40,11 @@ def test_compact_roundtrip(ex):
     assert family_from_compact(text).family == ex.fq
 
 
-def test_bipartition_blocks(ex):
-    assert bipartition_blocks(ex.q3) == [[1, 2, 3], [4]]
-    assert bipartition_blocks(Bipartition(3)) == [[1, 2, 3]]
+def test_doc_lists_blocks_element_1_first(ex):
+    assert family_to_doc(BipartitionFamily(4, (ex.q3,)))["bipartitions"] == [[[1, 2, 3], [4]]]
+    assert family_to_doc(BipartitionFamily(3, (Bipartition(3),))) == {
+        "n": 3, "bipartitions": [[[1, 2, 3]]]
+    }
 
 
 def test_family_from_text_detects_format(ex):

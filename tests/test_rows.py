@@ -13,7 +13,6 @@ import helpers
 from sepfam import (
     Bipartition,
     BipartitionFamily,
-    BipartitionTuple,
     CharMatrix,
     edge_cut_family,
     encode_family,
@@ -88,7 +87,7 @@ def test_edge_cut_family_matches_edge_removal(code):
 @PROPERTY
 @given(families())
 def test_matrix_encode_decode_roundtrip(fam):
-    m = CharMatrix.encode(BipartitionTuple.from_family(fam))
-    assert m.to_lists() == [[int(helpers.naive_cuts(p, 1, i)) for p in naive(fam)]
-                            for i in range(1, fam.n + 1)]
-    assert m.decode().to_family() == fam
+    m = CharMatrix.encode(fam.n, fam.members)
+    assert m == CharMatrix.from_rows([[int(helpers.naive_cuts(p, 1, i)) for p in naive(fam)]
+                                      for i in range(1, fam.n + 1)])
+    assert m.decode() == fam.members

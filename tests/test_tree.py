@@ -1,5 +1,6 @@
 """The spanning-tree correspondence and the tree codec."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,7 +10,6 @@ from sepfam import (
     BipartitionFamily,
     CapacityError,
     LabeledGraph,
-    LabeledTree,
     edge_cut_family,
     is_spanning_tree,
     minimal_max_families,
@@ -18,10 +18,11 @@ from sepfam import (
     spanning_trees,
     unique_cut_graph,
 )
+from sepfam.documents import family_to_compact
 
 
 def path4():
-    return LabeledTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    return LabeledGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
 
 
 def test_graph_validation():
@@ -37,17 +38,13 @@ def test_graph_validation():
     assert g.sorted_edges() == [(1, 2)]
 
 
-def test_tree_type_validates():
-    with pytest.raises(ValueError):
-        LabeledTree.from_edges(4, [(1, 2), (2, 3)])
-    assert path4().n == 4
-
-
-def test_graph_equality_ignores_subclass():
-    t = path4()
-    g = LabeledGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+def test_graph_equality():
+    t = prufer_decode(4, (2, 3))
+    g = LabeledGraph.from_edges(4, [(3, 4), (2, 1), (2, 3)])
+    assert type(t) is LabeledGraph
     assert t == g and hash(t) == hash(g)
     assert t != LabeledGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
+    assert LabeledGraph(3) != LabeledGraph(4)
 
 
 def test_is_spanning_tree():
@@ -68,13 +65,13 @@ def test_unique_cut_graph_fixtures(ex):
 
 def test_edge_cut_family_fixtures(ex):
     assert edge_cut_family(path4()) == ex.fq
-    star = LabeledTree.from_edges(3, [(1, 2), (1, 3)])
+    star = LabeledGraph.from_edges(3, [(1, 2), (1, 3)])
     want = BipartitionFamily(
         3,
         (Bipartition.from_coblock(3, [2]), Bipartition.from_coblock(3, [3])),
     )
     assert edge_cut_family(star) == want
-    single = edge_cut_family(LabeledTree.from_edges(2, [(1, 2)]))
+    single = edge_cut_family(LabeledGraph.from_edges(2, [(1, 2)]))
     assert single == BipartitionFamily(2, (Bipartition.from_coblock(2, [2]),))
 
 
@@ -92,8 +89,8 @@ def test_edge_cut_family_rejects():
 def test_code_fixtures():
     assert prufer_encode(path4()) == (2, 3)
     assert prufer_decode(4, (2, 3)) == path4()
-    assert prufer_encode(LabeledTree.from_edges(2, [(1, 2)])) == ()
-    assert prufer_decode(2, ()) == LabeledTree.from_edges(2, [(1, 2)])
+    assert prufer_encode(LabeledGraph.from_edges(2, [(1, 2)])) == ()
+    assert prufer_decode(2, ()) == LabeledGraph.from_edges(2, [(1, 2)])
 
 
 def test_code_validation():
@@ -122,7 +119,7 @@ def test_spanning_trees_enumeration():
     assert len(trees) == 16
     assert len(set(trees)) == 16
     assert all(is_spanning_tree(t) for t in trees)
-    assert list(spanning_trees(2)) == [LabeledTree.from_edges(2, [(1, 2)])]
+    assert list(spanning_trees(2)) == [LabeledGraph.from_edges(2, [(1, 2)])]
 
 
 def test_correspondence_roundtrip_all_trees():
@@ -144,6 +141,12 @@ def test_minimal_max_families_counts():
         fams = list(minimal_max_families(n))
         assert len(fams) == want
         assert len(set(fams)) == want
+    # the whole bijection's output for n = 2..7, one compact family a line
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for fam in minimal_max_families(n):
+            digest.update((family_to_compact(fam) + "\n").encode())
+    assert digest.hexdigest() == "46959d8ccd1977bc99b296b03fc1acf8222777e0915fa3cd22687344285b74f4"
 
 
 def test_enumeration_capacity():
