@@ -105,6 +105,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     n = args.n
     kind = args.kind
     if kind == "trees":
@@ -194,15 +196,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_max = args.n_max if args.n_max is not None else 5
-    k_max = args.k_max if args.k_max is not None else 8
-    if n_max > oracle.ORACLE_MAX_N:
+    if args.n_max > oracle.ORACLE_MAX_N:
         print(
             f"note: oracle comparisons stop at n={oracle.ORACLE_MAX_N}; "
-            f"formula checks run up to n={n_max}",
+            f"formula checks run up to n={args.n_max}",
             file=sys.stderr,
         )
-    rep = oracle.cross_validate(n_max, k_max)
+    rep = oracle.cross_validate(args.n_max, args.k_max)
     text = "\n".join(rep.summary_lines()) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     q = args.quantity
     proper = q == "sigma"
-    n_max = args.n_max if args.n_max is not None else 5
+    n_max = args.n_max
     if n_max < 2:
         raise ValueError(f"--n-max must be >= 2, got {n_max}")
     k_max = args.k_max if args.k_max is not None else bipartition_count(n_max, proper=proper)
@@ -283,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(handler=_cmd_count)
 
     v = sub.add_parser("verify", help="cross-check formulas, identities, and bijections")
-    v.add_argument("--n-max", type=int, help="default 5")
-    v.add_argument("--k-max", type=int, help="default 8")
+    v.add_argument("--n-max", type=int, default=5, help="default %(default)s")
+    v.add_argument("--k-max", type=int, default=8, help="default %(default)s")
     v.add_argument("--out", metavar="PATH", help="also write the summary to a file")
     v.set_defaults(handler=_cmd_verify)
 
     t = sub.add_parser("table", help="emit a count table as JSON")
     t.add_argument("quantity", choices=["tau", "sigma"])
-    t.add_argument("--n-max", type=int, help="default 5")
+    t.add_argument("--n-max", type=int, default=5, help="default %(default)s")
     t.add_argument("--k-max", type=int, help="default: the full pool at n-max")
     t.add_argument("--out", metavar="PATH")
     t.set_defaults(handler=_cmd_table)

@@ -214,14 +214,13 @@ def decimal_text(value: int) -> str:
 
 
 class IdentityCheck(NamedTuple):
-    """Outcome of evaluating both sides of an identity; truthy iff they agree."""
+    """Both sides of an identity; truthy iff they agree."""
 
-    ok: bool
     lhs: int
     rhs: int
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.lhs == self.rhs
 
 
 def distinct_row_matrix_count(n: int, k: int) -> int:
@@ -244,7 +243,7 @@ def check_matrix_count_identity(n: int, k: int) -> IdentityCheck:
         raise ValueError(f"k={k} outside 1..{bipartition_count(n)}")
     lhs = sum(surjective_sequences(k, i) * count_separating(n, i) for i in range(1, k + 1))
     rhs = distinct_row_matrix_count(n, k)
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    return IdentityCheck(lhs, rhs)
 
 
 def check_trivial_split(n: int, k: int) -> IdentityCheck:
@@ -258,7 +257,7 @@ def check_trivial_split(n: int, k: int) -> IdentityCheck:
         raise ValueError(f"k={k} outside 2..{bipartition_count(n)}")
     lhs = count_separating(n, k, proper=True) + count_separating(n, k - 1, proper=True)
     rhs = count_separating(n, k)
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    return IdentityCheck(lhs, rhs)
 
 
 def check_stirling_first_sum(k: int, i: int) -> IdentityCheck:
@@ -268,7 +267,7 @@ def check_stirling_first_sum(k: int, i: int) -> IdentityCheck:
     lhs = stirling1_unsigned(k + 1, i + 1)
     kfact = factorial(k)
     rhs = sum((kfact // factorial(j)) * stirling1_unsigned(j, i) for j in range(i, k + 1))
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    return IdentityCheck(lhs, rhs)
 
 
 def check_transpose_symmetry(n: int, k: int) -> IdentityCheck:
@@ -283,7 +282,7 @@ def check_transpose_symmetry(n: int, k: int) -> IdentityCheck:
         raise ValueError(f"k={k} outside 2..{bipartition_count(n)}")
     lhs = _count_family_side(n, k - 1, proper=True) * factorial(k - 1)
     rhs = _count_family_side(k, n - 1, proper=True) * factorial(n - 1)
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    return IdentityCheck(lhs, rhs)
 
 
 def ceil_log2(x: int) -> int:

@@ -18,6 +18,7 @@ gives a pair back. Scans are capped at n <= 5.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -179,10 +180,6 @@ def _text(side) -> str:
     return counting.decimal_text(side) if isinstance(side, int) else str(side)
 
 
-def _sides(check) -> tuple[int, int]:
-    return check.lhs, check.rhs
-
-
 @dataclass
 class ValidationReport:
     """Outcome of a cross_validate run."""
@@ -198,8 +195,9 @@ class ValidationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
 
-    def add(self, name: str, ok: bool, lhs, rhs) -> None:
-        self.checks.append(CheckResult(name, bool(ok), _text(lhs), _text(rhs)))
+    def add(self, name: str, lhs, rhs) -> None:
+        """Record a check; it passes exactly when its two sides are equal."""
+        self.checks.append(CheckResult(name, lhs == rhs, _text(lhs), _text(rhs)))
 
     def group_counts(self) -> dict[str, tuple[int, int]]:
         """group name -> (passed, total), grouped by the first token of the name."""
@@ -235,9 +233,12 @@ class ValidationReport:
 def cross_validate(n_max: int, k_max: int) -> ValidationReport:
     """Run every formula, identity, and bijection check at desk scale.
 
-    Oracle comparisons stop at n = 5 and tree sweeps at n = 6 no matter how
-    large n_max is; formula-vs-formula and identity checks use the full
-    requested range. Failures are recorded in the report, never raised.
+    Each check computes two sides and passes exactly when they are equal. A
+    side that raises ArithmeticError or ValueError (CapacityError included) is
+    recorded as a failed check with lhs "error: ..." and rhs "unavailable", so
+    failures land in the report and are never raised. Oracle comparisons stop
+    at n = 5 and tree sweeps at n = 6 no matter how large n_max is;
+    formula-vs-formula and identity checks use the full requested range.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -247,47 +248,43 @@ def cross_validate(n_max: int, k_max: int) -> ValidationReport:
     oracle_n = min(n_max, ORACLE_MAX_N)
     tree_n = min(n_max, 6)
 
-    def compare(name: str, make) -> None:
-        # make() -> (lhs, rhs); a formula blowing up is itself a failure
+    def check(name: str, make) -> None:
+        # make() -> (lhs, rhs); a side blowing up is itself a failure
         try:
             lhs, rhs = make()
         except (ArithmeticError, ValueError) as exc:
-            rep.add(name, False, f"error: {exc}", "unavailable")
-            return
-        rep.add(name, lhs == rhs, lhs, rhs)
+            lhs, rhs = f"error: {exc}", "unavailable"
+        rep.add(name, lhs, rhs)
 
+    # sides needed by more than one check, computed once and inside the trap
+    # (a side that raises is not cached, so each check records the error)
+    brute = functools.cache(brute_count_separating)
+    profile = functools.cache(brute_minimal_size_profile)
+    min_ground = functools.cache(_brute_min_ground)
+    trees = functools.cache(lambda n: tuple(tree.spanning_trees(n)))
+    families = functools.cache(lambda n: tuple(tree.minimal_max_families(n)))
+
+    forms = (
+        ("arbitrary-count", counting.count_separating, False),
+        ("proper-count", counting.count_separating, True),
+        ("arbitrary-dual", counting.count_separating_dual, False),
+        ("proper-dual", counting.count_separating_dual, True),
+    )
     for n in range(2, oracle_n + 1):
-        pool = bipartition_count(n)
-        for k in range(1, min(k_max, pool) + 1):
-            brute_a = brute_count_separating(n, k)
-            brute_p = brute_count_separating(n, k, proper_only=True)
-            compare(
-                f"arbitrary-count-vs-oracle n={n} k={k}",
-                lambda: (counting.count_separating(n, k), brute_a),
-            )
-            compare(
-                f"proper-count-vs-oracle n={n} k={k}",
-                lambda: (counting.count_separating(n, k, proper=True), brute_p),
-            )
-            compare(
-                f"arbitrary-dual-vs-oracle n={n} k={k}",
-                lambda: (counting.count_separating_dual(n, k), brute_a),
-            )
-            compare(
-                f"proper-dual-vs-oracle n={n} k={k}",
-                lambda: (counting.count_separating_dual(n, k, proper=True), brute_p),
-            )
+        for k in range(1, min(k_max, bipartition_count(n)) + 1):
+            for label, form, proper in forms:
+                check(f"{label}-vs-oracle n={n} k={k}", lambda: (form(n, k, proper), brute(n, k, proper)))
 
     for n in range(2, n_max + 1):
         pool = bipartition_count(n)
         # the family-side sum against the ground-side sum, whatever the shape
         for k in range(1, min(k_max, pool) + 1):
-            compare(
+            check(
                 f"closed-forms-agree-arbitrary n={n} k={k}",
                 lambda: (counting._count_family_side(n, k), counting.count_separating_dual(n, k)),
             )
         for k in range(1, min(k_max, pool - 1) + 1):
-            compare(
+            check(
                 f"closed-forms-agree-proper n={n} k={k}",
                 lambda: (
                     counting._count_family_side(n, k, proper=True),
@@ -295,74 +292,66 @@ def cross_validate(n_max: int, k_max: int) -> ValidationReport:
                 ),
             )
         for k in range(1, min(k_max, pool) + 1):
-            compare(
-                f"matrix-count-identity n={n} k={k}",
-                lambda: _sides(counting.check_matrix_count_identity(n, k)),
-            )
+            check(f"matrix-count-identity n={n} k={k}", lambda: counting.check_matrix_count_identity(n, k))
         for k in range(2, min(k_max, pool) + 1):
-            compare(
-                f"trivial-split n={n} k={k}",
-                lambda: _sides(counting.check_trivial_split(n, k)),
-            )
-            compare(
-                f"transpose-symmetry n={n} k={k}",
-                lambda: _sides(counting.check_transpose_symmetry(n, k)),
-            )
+            check(f"trivial-split n={n} k={k}", lambda: counting.check_trivial_split(n, k))
+            check(f"transpose-symmetry n={n} k={k}", lambda: counting.check_transpose_symmetry(n, k))
 
     for k in range(0, k_max + 1):
         for i in range(0, k + 1):
-            compare(
-                f"stirling-first-sum k={k} i={i}",
-                lambda: _sides(counting.check_stirling_first_sum(k, i)),
-            )
+            check(f"stirling-first-sum k={k} i={i}", lambda: counting.check_stirling_first_sum(k, i))
 
     for n in range(2, tree_n + 1):
-        total = good_code = good_tree = good_min = 0
-        seen = set()
-        for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-            t = tree.prufer_decode(n, seq)
-            total += 1
-            if tree.prufer_encode(t) == seq:
-                good_code += 1
-            fam = tree.edge_cut_family(t)
-            seen.add(fam)
-            if tree.unique_cut_graph(fam) == t:
-                good_tree += 1
-            if len(fam) == n - 1 and fam.is_minimal_separating():
-                good_min += 1
-        rep.add(f"prufer-roundtrip n={n}", good_code == total, good_code, total)
-        rep.add(f"tree-roundtrip n={n}", good_tree == total, good_tree, total)
-        rep.add(f"edge-cut-minimal n={n}", good_min == total, good_min, total)
-        cayley = n ** (n - 2)
-        rep.add(f"cayley-count n={n}", len(seen) == cayley, len(seen), cayley)
+        codes = itertools.product(range(1, n + 1), repeat=n - 2)  # the order trees come in
+        check(
+            f"prufer-roundtrip n={n}",
+            lambda: (
+                sum(tree.prufer_encode(t) == c for t, c in zip(trees(n), codes, strict=True)),
+                len(trees(n)),
+            ),
+        )
+        check(
+            f"tree-roundtrip n={n}",
+            lambda: (
+                sum(tree.unique_cut_graph(f) == t for t, f in zip(trees(n), families(n), strict=True)),
+                len(trees(n)),
+            ),
+        )
+        check(
+            f"edge-cut-minimal n={n}",
+            lambda: (
+                sum(len(f) == n - 1 and f.is_minimal_separating() for f in families(n)),
+                len(families(n)),
+            ),
+        )
+        check(f"cayley-count n={n}", lambda: (len(set(families(n))), n ** (n - 2)))
 
     for n in range(2, oracle_n + 1):
-        brute_set = set(brute_minimal_max_families(n))
-        enum_set = set(tree.minimal_max_families(n))
-        rep.add(
+        check(
             f"enumeration-matches-oracle n={n}",
-            brute_set == enum_set,
-            len(enum_set),
-            len(brute_set),
+            lambda: (len(set(families(n)) ^ set(brute_minimal_max_families(n))), 0),
         )
-        prof = brute_minimal_size_profile(n)
-        lo, hi = counting.min_separating_size(n), n - 1
-        rep.add(
+        check(
             f"minimal-size-support n={n}",
-            all(lo <= s <= hi for s in prof),
-            sorted(prof),
-            [lo, hi],
+            lambda: ([s for s in profile(n) if not counting.min_separating_size(n) <= s <= n - 1], []),
         )
-        formula = counting.count_min_size_families(n)
-        rep.add(f"min-size-count n={n}", formula == prof.get(lo, 0), formula, prof.get(lo, 0))
+        check(
+            f"min-size-count n={n}",
+            lambda: (
+                counting.count_min_size_families(n),
+                profile(n).get(counting.min_separating_size(n), 0),
+            ),
+        )
 
     for k in range(1, min(k_max, 7) + 1):
-        for proper in (False, True):
-            label = "proper" if proper else "arbitrary"
-            got_n, got_c = _brute_min_ground(k, proper)
-            want_n = counting.min_ground_size(k, proper)
-            rep.add(f"min-ground-size-{label} k={k}", got_n == want_n, want_n, got_n)
-            want_c = counting.count_min_ground_families(k, proper)
-            rep.add(f"min-ground-count-{label} k={k}", got_c == want_c, want_c, got_c)
+        for label, proper in (("arbitrary", False), ("proper", True)):
+            check(
+                f"min-ground-size-{label} k={k}",
+                lambda: (counting.min_ground_size(k, proper), min_ground(k, proper)[0]),
+            )
+            check(
+                f"min-ground-count-{label} k={k}",
+                lambda: (counting.count_min_ground_families(k, proper), min_ground(k, proper)[1]),
+            )
 
     return rep

@@ -67,9 +67,10 @@ class LabeledGraph:
         return adj
 
 
-def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int]] | None:
-    """BFS from vertex 1: the vertices in visiting order and each one's parent
-    (0 for vertex 1), or None unless g has n-1 edges that reach all n vertices.
+def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int], dict[int, set[int]]] | None:
+    """BFS from vertex 1: the vertices in visiting order, each one's parent
+    (0 for vertex 1) and the adjacency it walked, or None unless g has n-1
+    edges that reach all n vertices.
     """
     if len(g.edges) != g.n - 1:
         return None
@@ -81,7 +82,7 @@ def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int]] | None:
             if y not in parent:
                 parent[y] = x
                 order.append(y)
-    return (order, parent) if len(order) == g.n else None
+    return (order, parent, adj) if len(order) == g.n else None
 
 
 def is_spanning_tree(g: LabeledGraph) -> bool:
@@ -123,7 +124,7 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     bfs = _tree_bfs(g)
     if bfs is None:
         raise ValueError("input is not a spanning tree")
-    order, parent = bfs
+    order, parent, _ = bfs
     sub = [0] + [1 << i for i in range(g.n)]  # v's own bit, to start
     for v in reversed(order):
         sub[parent[v]] |= sub[v]
@@ -134,9 +135,10 @@ def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:
     """Length n-2 code: repeatedly strip the smallest leaf, record its neighbor."""
     if t.n < 2:
         raise ValueError("codes are defined for n >= 2")
-    if not is_spanning_tree(t):
+    bfs = _tree_bfs(t)
+    if bfs is None:
         raise ValueError("input is not a spanning tree")
-    adj = t.adjacency()
+    adj = bfs[2]  # a fresh dict, so the leaf stripping may consume it
     leaves = [v for v in range(1, t.n + 1) if len(adj[v]) == 1]
     heapq.heapify(leaves)
     seq = []

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import sepfam.counting
+import sepfam.oracle
+import sepfam.tree
 from sepfam.cli import build_parser, main
 from sepfam.counting import decimal_text
 
@@ -229,6 +231,12 @@ def test_enumerate_limit(capsys):
     assert lines[-1] == "total: 10 (limit reached)"
 
 
+def test_enumerate_negative_limit_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "trees", "--n", "3", "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --limit must be >= 0, got -1\n"
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     out_path = tmp_path / "trees.txt"
     assert main(["enumerate", "trees", "--n", "3", "--out", str(out_path)]) == 0
@@ -398,6 +406,50 @@ def test_verify_fault_in_a_stirling_row_exits_1(capsys, monkeypatch):
         g.startswith("closed-forms-agree-") or g.endswith("-vs-oracle") or g == "transpose-symmetry"
         for g in groups
     ), groups
+
+
+@pytest.mark.parametrize(
+    "module, name, error, when, failing",
+    [
+        # the tree sweep, and the oracle match that reads the tree families
+        (
+            "tree", "edge_cut_family", ValueError("planted"), lambda args: args[0].n == 4,
+            {"tree-roundtrip", "edge-cut-minimal", "cayley-count", "enumeration-matches-oracle"},
+        ),
+        # the oracle side of the four count groups, and min-ground's search through n = 3
+        (
+            "oracle", "brute_count_separating", ArithmeticError("planted"), lambda args: args[0] == 3,
+            {
+                "arbitrary-count-vs-oracle", "proper-count-vs-oracle", "arbitrary-dual-vs-oracle",
+                "proper-dual-vs-oracle", "min-ground-size-arbitrary", "min-ground-count-arbitrary",
+                "min-ground-size-proper", "min-ground-count-proper",
+            },
+        ),
+        (
+            "oracle", "_brute_min_ground", sepfam.oracle.CapacityError("planted"), lambda args: True,
+            {
+                "min-ground-size-arbitrary", "min-ground-count-arbitrary",
+                "min-ground-size-proper", "min-ground-count-proper",
+            },
+        ),
+    ],
+)
+def test_verify_records_a_raising_side_as_a_failure(capsys, monkeypatch, module, name, error, when, failing):
+    target = getattr(sepfam, module)
+    real = getattr(target, name)
+
+    def planted(*args, **kwargs):
+        if when(args):
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, planted)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--k-max", "6")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert {line.split()[1] for line in fails} == failing
+    assert all(line.endswith(": lhs=error: planted rhs=unavailable") for line in fails)
+    assert out.splitlines()[-1].startswith("result: FAIL")
 
 
 @pytest.mark.parametrize("n, k", [(6, 4), (40, 400)])

@@ -347,7 +347,8 @@ def test_identity_check_is_truthy_namedtuple():
     ok = check_trivial_split(4, 3)
     assert ok and ok.lhs == 32 and ok.rhs == 32  # 29 + 3 on one side
     assert isinstance(ok, IdentityCheck)
-    assert not IdentityCheck(False, 1, 2)
+    assert IdentityCheck._fields == ("lhs", "rhs")
+    assert not IdentityCheck(1, 2)
 
 
 def test_min_separating_size():

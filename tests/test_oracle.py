@@ -153,10 +153,21 @@ def test_cross_validate_passes():
 
 def test_report_takes_values_past_the_digit_limit():
     rep = ValidationReport(2, 1)
-    rep.add("huge", True, 10**5000, -(10**5000))
-    check = rep.checks[0]
-    assert check.lhs == "1" + "0" * 5000 and check.rhs == "-1" + "0" * 5000
-    assert rep.summary_lines()[-1].startswith("result: PASS")
+    rep.add("huge", 10**5000, 10**5000)
+    rep.add("apart", 10**5000, -(10**5000))
+    huge, apart = rep.checks
+    assert huge.ok and huge.lhs == huge.rhs == "1" + "0" * 5000
+    assert not apart.ok and apart.rhs == "-1" + "0" * 5000
+    lines = rep.summary_lines()
+    assert f"FAIL apart: lhs={apart.lhs} rhs={apart.rhs}" in lines
+    assert lines[-1] == "result: FAIL (2 checks, 1 failed)"
+
+
+def test_every_check_passes_exactly_when_its_sides_agree():
+    rep = cross_validate(5, 16)
+    assert len(rep.checks) == 467
+    assert all(c.ok == (c.lhs == c.rhs) for c in rep.checks)
+    assert rep.passed
 
 
 def test_cross_validate_arg_validation():

@@ -102,6 +102,8 @@ def test_code_validation():
         prufer_decode(1, ())
     with pytest.raises(ValueError):
         prufer_encode(LabeledGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)]))
+    with pytest.raises(ValueError):  # n-1 edges, but a cycle and an isolated vertex
+        prufer_encode(LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)]))
 
 
 def test_codec_bijection_small_n():
