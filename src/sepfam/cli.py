@@ -105,8 +105,10 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    for flag in ("limit", "size"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {value}")
     n = args.n
     kind = args.kind
     if kind == "trees":

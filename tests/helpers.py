@@ -3,10 +3,15 @@
 Everything here works on frozensets of frozensets with no bitmasks and no
 code shared with the package, so agreement between the two is meaningful.
 Minimality is checked against the raw definition (no proper subfamily
-separates), not the single-removal shortcut the library uses.
+separates), not the single-removal shortcut the library uses. The counting
+references are the two closed-form sums written with math.comb, over
+Stirling rows from the plain recurrence, where the library takes falling
+factorials.
 """
 
 import itertools
+import math
+from functools import cache
 
 
 def to_naive(b):
@@ -113,3 +118,32 @@ def naive_compact(fam):
 
     order = sorted(fam, key=lambda member: sorted(coblock(member), reverse=True))
     return ";".join(text(member) for member in order)
+
+
+@cache
+def naive_stirling1_row(r):
+    """Unsigned Stirling numbers of the first kind c(r, 0..r), built up from
+    row 0 by c(q, i) = (q-1) c(q-1, i) + c(q-1, i-1)."""
+    row = [1]
+    for q in range(1, r + 1):
+        row = [0, *((q - 1) * a + b for a, b in zip(row[1:], row)), 1]
+    return tuple(row)
+
+
+def naive_family_sum(n, k, proper=False):
+    """Separating k-families over {1..n} by the family-side sum with binomials:
+    (n-1)! / k! times the sum over i of (-1)^(k-i) c(k, i) comb(2^i - 1, n - 1);
+    proper reads c(k+1, i+1) for c(k, i)."""
+    shift = int(proper)
+    c = naive_stirling1_row(k + shift)
+    acc = sum((-1) ** (k - i) * c[i + shift] * math.comb(2**i - 1, n - 1) for i in range(1, k + 1))
+    q, r = divmod(math.factorial(n - 1) * acc, math.factorial(k))
+    assert r == 0
+    return q
+
+
+def naive_ground_sum(n, k, proper=False):
+    """The same count by the ground-side sum with binomials, no division:
+    the sum over i < n of (-1)^(n-1-i) c(n, i+1) comb(2^i - proper, k)."""
+    c = naive_stirling1_row(n)
+    return sum((-1) ** (n - 1 - i) * c[i + 1] * math.comb(2**i - proper, k) for i in range(n))

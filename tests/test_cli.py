@@ -237,6 +237,12 @@ def test_enumerate_negative_limit_exits_2(capsys):
     assert err == "error: --limit must be >= 0, got -1\n"
 
 
+def test_enumerate_negative_size_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "families", "--n", "4", "--size", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --size must be >= 0, got -1\n"
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     out_path = tmp_path / "trees.txt"
     assert main(["enumerate", "trees", "--n", "3", "--out", str(out_path)]) == 0

@@ -2,12 +2,13 @@
 
 import itertools
 import random
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import reference_tables as ref
 import sepfam.counting
 from sepfam import (
@@ -239,6 +240,42 @@ def shapes(draw):
 def test_family_and_ground_sums_agree(shape):
     n, k, proper = shape
     assert _count_family_side(n, k, proper) == count_separating_dual(n, k, proper)
+
+
+# below this i a term takes math.perm, from it on the shift-and-subtract product
+WIDTH = sepfam.counting._SHIFT_WIDTH
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("n", [WIDTH - 1, WIDTH, WIDTH + 1, 300, 1000])
+def test_ground_sum_matches_binomial_reference_across_the_width(n, proper):
+    for k in (2, 9, 16):
+        assert count_separating_dual(n, k, proper) == helpers.naive_ground_sum(n, k, proper), k
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("k", [WIDTH - 1, WIDTH, WIDTH + 1, 200])
+def test_family_sum_matches_binomial_reference_across_the_width(k, proper):
+    n = k + 2
+    assert _count_family_side(n, k, proper) == helpers.naive_family_sum(n, k, proper)
+
+
+def test_perm_takes_exactly_the_terms_below_the_width(monkeypatch):
+    # each side once a term past the width: perm must see 2^i - s for every
+    # i below it and for no i from it on
+    seen = []
+
+    def spy(x, m):
+        seen.append(x)
+        return perm(x, m)
+
+    monkeypatch.setattr(sepfam.counting, "perm", spy)
+    assert count_separating_dual(WIDTH + 2, 3, proper=True) == helpers.naive_ground_sum(WIDTH + 2, 3, True)
+    assert seen == [(1 << i) - 1 for i in range(WIDTH)]
+    seen.clear()
+    k = WIDTH + 1
+    assert _count_family_side(k + 2, k) == helpers.naive_family_sum(k + 2, k)
+    assert seen == [(1 << i) - 1 for i in range(WIDTH)]
 
 
 def test_count_separating_takes_the_shorter_sum(monkeypatch):
