@@ -10,12 +10,15 @@ producer, and drops repeats and sorts the members by coblock mask. An
 ordered sequence with repeats is a plain tuple of `Bipartition`.
 
 The predicates run on the rows of the characteristic matrix (`char_rows`),
-built once per call in O(n*k): a family separates exactly when its rows are
-pairwise distinct.
+built in O(n*k) the first time a family needs them and kept with it. A
+family separates exactly when its rows are pairwise distinct, and it is
+minimal exactly when, for each column j, some row with bit j flipped is
+also a row; the scan of a column stops at its first such row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -126,24 +129,30 @@ class BipartitionFamily:
     def __contains__(self, item: object) -> bool:
         return item in self.members
 
+    @functools.cached_property
+    def _rows(self) -> tuple[int, ...]:
+        # built on first use: families that are only written never need rows
+        return tuple(char_rows(self.n, [b.coblock for b in self.members]))
+
     def rows(self) -> list[int]:
         """Characteristic-matrix rows of the members in canonical order."""
-        return char_rows(self.n, [b.coblock for b in self.members])
+        return list(self._rows)
 
     def is_separating(self) -> bool:
         """Every element pair is cut by at least one member: rows are distinct."""
-        return len(set(self.rows())) == self.n
+        return len(set(self._rows)) == self.n
 
     def is_minimal_separating(self) -> bool:
         """Separating, and dropping any one member stops it separating."""
-        rows = self.rows()
-        n = self.n
-        if len(set(rows)) != n:
+        rows = self._rows
+        present = set(rows)
+        if len(present) != self.n:
             return False
         # separation is monotone, so single-member drops suffice: member j is
-        # needed when masking column j out of every row makes two rows equal
+        # needed when two rows differ in bit j alone
         return all(
-            len({r & ~(1 << j) for r in rows}) != n for j in range(len(self.members))
+            any(r ^ bit in present for r in rows)
+            for bit in (1 << j for j in range(len(self.members)))
         )
 
 

@@ -123,10 +123,11 @@ def is_forced_zero(n: int, k: int, proper: bool = False) -> bool:
 
     That happens for k < 1 and for k larger than the pool of available
     bipartitions (2^(n-1), or one less for proper only); the count is 0
-    there without consulting any formula.
+    there without consulting any formula. The pool is built only when k has
+    at least the pool's n bits, so a huge n costs nothing.
     """
     _require_ground(n)
-    return k < 1 or k > bipartition_count(n, proper=proper)
+    return k < 1 or (k.bit_length() > n - 1 and k > bipartition_count(n, proper=proper))
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -10,15 +10,22 @@ External labels may be arbitrary distinct positive integers; parsing
 normalizes them to 1..n in increasing order and reports the mapping.
 Repeated bipartitions are dropped silently (families are sets).
 
-Compact text is read and written from coblock mask bits: parsing maps each
-label to its bit through one dict and builds each member from its coblock
-mask, and writing picks, for each block, the label strings of the set bits.
+Both forms are read by one validator, on masks. The first member's labels
+give the universe, and one dict maps each label to its bit, keyed for
+compact text by the token string; a token spelled another way (`03`, `+3`,
+` 3`) is read with int() on a miss. Each member is then checked by
+arithmetic: it has n labels and its block masks sum to 2^n - 1, which n
+powers of two do only when they are distinct. A fault is named for the
+first member that has one. Writing picks, for each block, the label
+strings of the set bits of its coblock mask.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Bipartition, BipartitionFamily, select_set_bits
 from .tree import LabeledGraph
@@ -52,52 +59,92 @@ def family_to_compact(f: BipartitionFamily) -> str:
     return ";".join(parts)
 
 
-def _check_block(block: object) -> None:
-    """Raise unless block is a nonempty list of positive ints (not bools)."""
-    if not isinstance(block, list) or not block:
-        raise ValueError("each block must be a nonempty list")
-    if set(map(type, block)) == {int} and min(block) >= 1:
-        return
-    # slow path: name the first bad label; int subclasses other than bool pass
-    for x in block:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"labels must be positive integers, got {x!r}")
+def _member_fault(bp: list, label) -> str:
+    """What is wrong with a member that failed the arithmetic check, in the
+    order the checks are made: each token reads as an integer (label raises
+    otherwise), one or two blocks, positive labels, no label twice, and
+    last, a label set other than the first member's.
+    """
+    labels = [label(tok) for block in bp for tok in block]
+    if not 1 <= len(bp) <= 2:
+        return "each bipartition must be a list of one or two blocks"
+    for x in labels:
+        if x < 1:
+            return f"labels must be positive integers, got {x}"
+    if len(set(labels)) != len(labels):
+        return "blocks overlap or repeat an element"
+    return "bipartitions cover different element sets"
 
 
-def _family_from_blocklists(biparts: list, n: int | None) -> ParsedFamily:
-    universe: list[int]
-    if biparts:
-        seen_universes = set()
-        for bp in biparts:
-            if not isinstance(bp, list) or not 1 <= len(bp) <= 2:
-                raise ValueError("each bipartition must be a list of one or two blocks")
-            for block in bp:
-                _check_block(block)
-            flat = set(bp[0]).union(*bp[1:])
-            if len(flat) != sum(map(len, bp)):
-                raise ValueError("blocks overlap or repeat an element")
-            seen_universes.add(frozenset(flat))
-        if len(seen_universes) != 1:
-            raise ValueError("bipartitions cover different element sets")
-        universe = sorted(next(iter(seen_universes)))
-    else:
+def _family_from_members(members: Iterator[list], n: int | None, label) -> ParsedFamily:
+    """The one validator of both forms.
+
+    members yields each member as a list of blocks, each a list of tokens,
+    and label(tok) reads a token as an int or raises. The first member's
+    labels give the universe, and one dict maps each label, as an int and
+    as the first member's token, to its bit. Every member is then checked
+    by arithmetic alone: it has n tokens and its block masks sum to 2^n - 1,
+    which a sum of n powers of two does only when they are distinct.
+    """
+    first = next(members, None)
+    if first is None:
         if n is None:
             raise ValueError('an empty family needs an explicit "n"')
-        universe = list(range(1, n + 1))
-    if n is not None and n != len(universe):
-        raise ValueError(f"n={n} but {len(universe)} distinct labels are present")
-    m = len(universe)
+        return ParsedFamily(BipartitionFamily(n), {})
+    tokens = [tok for block in first for tok in block]
+    try:
+        labels = list(map(int, tokens))
+    except ValueError:  # read them again by label, which names the bad one
+        labels = list(map(label, tokens))
+    universe = sorted(labels)
     bit = {lab: 1 << pos for pos, lab in enumerate(universe)}
-    # each bp already partitions the universe, so its coblock is the block
-    # without the smallest label, and Bipartition.from_blocks has nothing to add
-    lowest = universe[0]
-    members = tuple(
-        Bipartition(m, 0 if len(bp) == 1 else sum(map(bit.__getitem__, bp[lowest in bp[0]])))
-        for bp in biparts
-    )
+    if len(bit) != len(labels) or universe[0] < 1:
+        raise ValueError(_member_fault(first, label))
+    bit.update(zip(tokens, map(bit.__getitem__, labels)))
+    m = len(universe)
+    full = (1 << m) - 1
+    get = bit.__getitem__
+    coblocks = []
+    for bp in itertools.chain((first,), members):
+        try:
+            masks = [sum(map(get, block)) for block in bp]
+        except KeyError:
+            # a token the dict lacks is read by label; a label of the universe
+            # is keyed under this spelling too, any other is a fault
+            spelled = {tok: bit.get(label(tok)) for tok in itertools.chain(*bp) if tok not in bit}
+            if None in spelled.values():
+                raise ValueError(_member_fault(bp, label)) from None
+            bit.update(spelled)
+            masks = [sum(map(get, block)) for block in bp]
+        if len(masks) > 2 or sum(map(len, bp)) != m or sum(masks) != full:
+            raise ValueError(_member_fault(bp, label))
+        # the coblock is the block without the smallest label, bit 0
+        coblocks.append(full ^ masks[0] if masks[0] & 1 else masks[0])
+    if n is not None and n != m:
+        raise ValueError(f"n={n} but {m} distinct labels are present")
     identity = universe[-1] == m  # m distinct positive labels, the largest m
     label_map = {} if identity else {lab: pos for pos, lab in enumerate(universe, start=1)}
-    return ParsedFamily(BipartitionFamily(m, members), label_map)
+    family = BipartitionFamily(m, tuple(Bipartition(m, co) for co in coblocks))
+    return ParsedFamily(family, label_map)
+
+
+def _doc_member(bp: object) -> list:
+    """A JSON member, once it is known to be one or two nonempty lists of
+    positive ints (not bools): JSON values are typed, and True or 1.0 would
+    find label 1's key, so this is checked before any lookup.
+    """
+    if not isinstance(bp, list) or not 1 <= len(bp) <= 2:
+        raise ValueError("each bipartition must be a list of one or two blocks")
+    for block in bp:
+        if not isinstance(block, list) or not block:
+            raise ValueError("each block must be a nonempty list")
+        if set(map(type, block)) == {int} and min(block) >= 1:
+            continue
+        # slow path: name the first bad label; int subclasses other than bool pass
+        for x in block:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                raise ValueError(f"labels must be positive integers, got {x!r}")
+    return bp
 
 
 def family_from_doc(obj: object) -> ParsedFamily:
@@ -110,7 +157,26 @@ def family_from_doc(obj: object) -> ParsedFamily:
     biparts = obj.get("bipartitions")
     if not isinstance(biparts, list):
         raise ValueError('family document needs a "bipartitions" list')
-    return _family_from_blocklists(biparts, n)
+    return _family_from_members(map(_doc_member, biparts), n, int)
+
+
+def _compact_member(part: str) -> list[list[str]]:
+    if not part or part.isspace():
+        raise ValueError("empty bipartition entry")
+    return [chunk.split(",") for chunk in part.split("|")]
+
+
+def _compact_label(tok: str) -> int:
+    """Read one compact token, naming it when it is not an integer.
+
+    int() ignores the whitespace around a token except the separators
+    \\x1c-\\x1f, which str.strip() removes.
+    """
+    tok = tok.strip()
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"bad label {tok!r}") from None
 
 
 def family_from_compact(text: str, n: int | None = None) -> ParsedFamily:
@@ -118,35 +184,7 @@ def family_from_compact(text: str, n: int | None = None) -> ParsedFamily:
     body = text.strip()
     if not body:
         raise ValueError("empty family text")
-    biparts = []
-    for part in body.split(";"):
-        if not part or part.isspace():
-            raise ValueError("empty bipartition entry")
-        blocks = []
-        for chunk in part.split("|"):
-            try:
-                blocks.append(list(map(int, chunk.split(","))))
-            except ValueError:
-                blocks.append(_labels_by_token(chunk))
-        biparts.append(blocks)
-    return _family_from_blocklists(biparts, n)
-
-
-def _labels_by_token(chunk: str) -> list[int]:
-    """Parse one block token by token, naming the first bad label.
-
-    Blocks that int() refused as a whole come here: int() ignores the
-    whitespace around a token except the separators \\x1c-\\x1f, which
-    str.strip() removes.
-    """
-    items = []
-    for tok in chunk.split(","):
-        tok = tok.strip()
-        try:
-            items.append(int(tok))
-        except ValueError:
-            raise ValueError(f"bad label {tok!r}") from None
-    return items
+    return _family_from_members(map(_compact_member, body.split(";")), n, _compact_label)
 
 
 def family_from_text(text: str, n: int | None = None) -> ParsedFamily:

@@ -7,8 +7,9 @@ edge: the two components left when the edge is removed). Trees are
 enumerated through their length-(n-2) codes.
 
 Both directions are linear in the input: the unique-cut graph is read off
-the characteristic-matrix rows in O(n*k) (rows one bit apart), and an edge's
-cut is a subtree of the tree rooted at element 1.
+the characteristic-matrix rows in O(n*k) (rows one bit apart, found by one
+pass over the distinct rows per column), and an edge's cut is a subtree of
+the tree rooted at element 1.
 
 A tree is a `LabeledGraph` whose n-1 edges reach every vertex, tested by
 one BFS from vertex 1; `prufer_decode` builds one by construction, unchecked.
@@ -94,19 +95,21 @@ def unique_cut_graph(f: BipartitionFamily) -> LabeledGraph:
     """Edge {i, j} appears when exactly one family member cuts i and j.
 
     Those are the pairs whose characteristic-matrix rows differ in exactly
-    one bit: each row is flipped in each of its k bits and looked up.
+    one bit: for each column, one pass over the distinct rows with that bit
+    clear looks up the row with it set.
     """
     holders: dict[int, list[int]] = {}
     for i, r in enumerate(f.rows(), 1):
         holders.setdefault(r, []).append(i)
     edges = []
-    for r, mine in holders.items():
-        for j in range(len(f)):
-            flipped = r ^ (1 << j)
-            if flipped > r:  # each pair of rows once
-                edges.extend(
-                    (min(i, e), max(i, e)) for i in mine for e in holders.get(flipped, ())
-                )
+    for bit in (1 << j for j in range(len(f))):
+        edges += [
+            (min(i, e), max(i, e))
+            for r in holders
+            if not r & bit and (r | bit) in holders
+            for i in holders[r]
+            for e in holders[r | bit]
+        ]
     return LabeledGraph(f.n, frozenset(edges))
 
 

@@ -475,11 +475,21 @@ def test_overflowing_input_exits_2_not_3(capsys):
     assert err.startswith("error: ")
 
 
-def test_unallocatable_input_exits_2(capsys):
-    # 2^(n-1) bipartitions at n = 10^19 cannot be allocated; refused at once
-    code, out, err = run(capsys, "count", "tau", "--n", "10000000000000000000", "--k", "3")
+def test_unallocatable_input_exits_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sepfam.counting, "count_separating", exhausted)
+    code, out, err = run(capsys, "count", "tau", "--n", "12", "--k", "5")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: out of memory for this input size\n"
+
+
+def test_huge_ground_set_below_pool_counts_0(capsys):
+    # the pool of 2^(n-1) bipartitions at n = 10^19 is never built: k = 3
+    # has fewer bits than n - 1, and 3 members cannot separate 10^19 elements
+    code, out, err = run(capsys, "count", "tau", "--n", "10000000000000000000", "--k", "3")
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_verify_bad_bounds_exit_2(capsys):

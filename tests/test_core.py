@@ -132,6 +132,16 @@ def test_family_canonicalizes_and_dedups(ex):
     assert Bipartition(4) not in fam
 
 
+def test_family_rows_are_a_fresh_list(ex):
+    fam = BipartitionFamily(4, (ex.p1, ex.p2))
+    rows = fam.rows()
+    assert rows == [0, 1, 2, 3]  # members in canonical order: p2, then p1
+    rows[1] = 0  # the family keeps its own copy, so its answers do not move
+    assert fam.rows() == [0, 1, 2, 3] and fam.rows() is not fam.rows()
+    assert fam.is_separating() and fam.is_minimal_separating()
+    assert fam == BipartitionFamily(4, (ex.p2, ex.p1)) and hash(fam) == hash(BipartitionFamily(4, (ex.p2, ex.p1)))
+
+
 def test_family_rejects_mixed_ground_sets(ex):
     with pytest.raises(ValueError):
         BipartitionFamily(5, (ex.p1,))

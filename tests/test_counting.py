@@ -195,6 +195,11 @@ def test_domain_policy():
     assert is_forced_zero(4, 9) and is_forced_zero(4, 0)
     assert not is_forced_zero(4, 1)
     assert is_forced_zero(4, 8, proper=True)
+    assert not is_forced_zero(4, 7, proper=True) and not is_forced_zero(4, 8)
+    assert not is_forced_zero(10**19, 3)  # decided from bit lengths, no 2^(n-1) built
+    # at n = 2 the pool is {1,2} and {1|2}: k at and just past each side of it
+    assert not is_forced_zero(2, 2) and is_forced_zero(2, 3)
+    assert not is_forced_zero(2, 1, proper=True) and is_forced_zero(2, 2, proper=True)
     with pytest.raises(ValueError):
         count_separating(1, 1)
     with pytest.raises(ValueError):

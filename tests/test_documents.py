@@ -90,6 +90,7 @@ DOC_REJECTS = [
     ({"n": True, "bipartitions": []}, '"n" must be a positive integer, got True'),
     ({"bipartitions": [[[1], [1, 2]]]}, "blocks overlap or repeat an element"),
     ({"bipartitions": [[[1, 2], [2, 3]]]}, "blocks overlap or repeat an element"),
+    ({"bipartitions": [[[1], [2]], [[1, 1, 1]]]}, "blocks overlap or repeat an element"),
     ({"bipartitions": [[[1, 2], [3]], [[1, 2], [4]]]}, "bipartitions cover different element sets"),
     ({"n": 4, "bipartitions": [[[1], [2, 3]]]}, "n=4 but 3 distinct labels are present"),
     ({"bipartitions": [[[0], [1]]]}, "labels must be positive integers, got 0"),
@@ -114,6 +115,18 @@ COMPACT_REJECTS = [
     ("1,2|", "bad label ''"),
     ("1,x|2", "bad label 'x'"),
     ("1|2|3", "each bipartition must be a list of one or two blocks"),
+    ("0|1", "labels must be positive integers, got 0"),
+    ("1,1|2", "blocks overlap or repeat an element"),
+    ("1,2|2,3", "blocks overlap or repeat an element"),
+    ("1|2;1|3", "bipartitions cover different element sets"),
+    ("1|2,3;1|2", "bipartitions cover different element sets"),
+    # a later member with as many labels as the first, one of them repeated
+    # or foreign, and with a fault of the member's own next to a foreign label
+    ("1|2,3;1,1|2", "blocks overlap or repeat an element"),
+    ("1|2;1,1,1", "blocks overlap or repeat an element"),  # 1 + 1 + 1 is the full mask 3
+    ("1|2,3;1,2|4", "bipartitions cover different element sets"),
+    ("1|2;1|2|3", "each bipartition must be a list of one or two blocks"),
+    ("1|2;1,x|3", "bad label 'x'"),
 ]
 
 
@@ -121,6 +134,17 @@ COMPACT_REJECTS = [
 def test_compact_rejects(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         family_from_compact(text)
+
+
+@pytest.mark.parametrize("spelling", ["03", "+3", "3 ", " 3", "3\x1c"])
+def test_compact_reads_noncanonical_labels(spelling):
+    want = family_from_compact("3|7,10;3,7|10")
+    for text in (f"{spelling}|7,10;3,7|10", f"3|7,10;{spelling},7|10"):
+        parsed = family_from_compact(text)
+        assert (parsed.family, parsed.label_map) == (want.family, want.label_map)
+    parsed = family_from_compact(f"1|2,{spelling};1,2|{spelling}")
+    assert parsed.family == family_from_compact("1|2,3;1,2|3").family
+    assert parsed.label_map == {}
 
 
 @st.composite
