@@ -1,49 +1,87 @@
 """Command-line interface.
 
-Subcommands: check, map, enumerate, count, verify, table. Exit codes:
-0 success, 1 a semantic check failed (family not separating, counts
-disagree, input not a spanning tree, verification failures), 2 usage,
-parse, capacity or out-of-memory errors, 3 an internal arithmetic error
-(a closed form that did not divide exactly or came out negative).
+Subcommands: check, map, enumerate, count, verify, table. Each count
+quantity and enumerate kind is one table entry naming the flags it reads and
+what answers it; any other flag given to it is refused. map and enumerate
+share one writer table. `--out` writes to a file instead of stdout, except
+that verify writes to both. Exit codes: 0 success, 1 a semantic check
+failed (family not separating, counts disagree, input not a spanning tree,
+verification failures), 2 usage, parse, capacity or out-of-memory errors, 3
+an internal arithmetic error (a closed form that did not divide exactly or
+came out negative).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import counting, documents, oracle, tree
-from .core import CapacityError, bipartition_count
+from .core import bipartition_count
 from .counting import decimal_text
+
+# The tables call module attributes at call time, through lambdas, so a
+# function swapped in after import (a tracing wrapper) is the one that runs.
+# --format -> how one tree (edges, prufer) or one family (compact, doc) is written
+WRITERS = {
+    "edges": lambda t: documents.edges_to_text(t),
+    "prufer": lambda t: documents.code_to_text(tree.prufer_encode(t)),
+    "compact": lambda f: documents.family_to_compact(f),
+    "doc": lambda f: json.dumps(documents.family_to_doc(f)),
+}
+
+# --method -> the sum or scan that counts tau (proper=False) or sigma
+METHODS = {
+    None: lambda n, k, proper: counting.count_separating(n, k, proper),
+    "v1": lambda n, k, proper: counting._count_family_side(n, k, proper),
+    "v2": lambda n, k, proper: counting.count_separating_dual(n, k, proper),
+    "brute": lambda n, k, proper: oracle.brute_count_separating(n, k, proper_only=proper),
+}
 
 
 def _read_input(args) -> str:
-    path = getattr(args, "input", None)
-    if path is None or path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    return sys.stdin.read() if args.input in (None, "-") else Path(args.input).read_text()
 
 
-def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, lines) -> None:
+    """Print each line to the --out file, or to stdout without --out. The first line
+    is made before the file is opened, so a refused request leaves the file as it was."""
+    lines = iter(lines)
+    first = list(itertools.islice(lines, 1))
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for line in itertools.chain(first, lines):
+            print(line, file=fh)
+
+
+def _writer(args, action: str, formats: tuple[str, ...]):
+    """The writer --format names, or the first of `formats` without it."""
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise ValueError(f"{action} does not take --format {fmt}; it writes {' or '.join(formats)}")
+    return WRITERS[fmt]
+
+
+def _check_flags(args, action: str, flags: tuple[str, ...], needs=(), takes=()) -> None:
+    """Refuse each of `flags` given but not read, then require `needs`; a flag is
+    given when it differs from its default, None or False (so `--k 0` is given)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value is not False and flag not in needs and flag not in takes:
+            raise ValueError(f"{action} does not take --{flag}")
+    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"{action} requires {' and '.join(missing)}")
 
 
 def _note_relabel(parsed: documents.ParsedFamily) -> None:
     if parsed.relabeled:
         mapping = ", ".join(f"{a}->{b}" for a, b in sorted(parsed.label_map.items()))
         print(f"note: labels normalized: {mapping}", file=sys.stderr)
-
-
-def _need(args, *names) -> None:
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"{args.command} {getattr(args, 'quantity', '')} requires {' and '.join(missing)}".strip())
 
 
 def _cmd_check(args) -> int:
@@ -62,9 +100,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    text = _read_input(args)
     if args.direction == "family-to-tree":
-        parsed = documents.family_from_text(text)
+        write = _writer(args, "map family-to-tree", ("edges", "prufer"))
+        parsed = documents.family_from_text(_read_input(args))
         _note_relabel(parsed)
         fam = parsed.family
         if len(fam) != fam.n - 1:
@@ -77,124 +115,85 @@ def _cmd_map(args) -> int:
         if not fam.is_minimal_separating():
             print("error: family is not a minimal separating family", file=sys.stderr)
             return 1
-        g = tree.unique_cut_graph(fam)
-        fmt = args.format or "edges"
-        if fmt == "edges":
-            out = documents.edges_to_text(g)
-        elif fmt == "prufer":
-            out = documents.code_to_text(tree.prufer_encode(g))
-        else:
-            raise ValueError(f"format {fmt!r} does not apply to a tree output")
-        _write_out(args, out + "\n")
-        return 0
-    g = documents.graph_from_edge_text(text)
-    try:
-        fam = tree.edge_cut_family(g)
-    except ValueError:
-        print("error: edge list is not a spanning tree", file=sys.stderr)
-        return 1
-    fmt = args.format or "doc"
-    if fmt == "doc":
-        out = json.dumps(documents.family_to_doc(fam))
-    elif fmt == "compact":
-        out = documents.family_to_compact(fam)
+        item = tree.unique_cut_graph(fam)
     else:
-        raise ValueError(f"format {fmt!r} does not apply to a family output")
-    _write_out(args, out + "\n")
+        write = _writer(args, "map tree-to-family", ("doc", "compact"))
+        g = documents.graph_from_edge_text(_read_input(args))
+        try:
+            item = tree.edge_cut_family(g)
+        except ValueError:
+            print("error: edge list is not a spanning tree", file=sys.stderr)
+            return 1
+    _write(args, [write(item)])
     return 0
 
 
+# kind -> (flags it reads beyond --n --limit --format --out, formats default first, items)
+ENUMERATIONS = {
+    "trees": ((), ("edges", "prufer"), lambda a: tree.spanning_trees(a.n)),
+    "minimal-max-families": ((), ("compact", "doc"), lambda a: tree.minimal_max_families(a.n)),
+    "families": (("size", "proper", "minimal"), ("compact", "doc"), lambda a: oracle.separating_families(
+        a.n, size=a.size, proper_only=a.proper, minimal_only=a.minimal)),
+}
+
+
+def _limited(items, limit: int | None, write):
+    """The written items, at most `limit` of them, then the total line."""
+    count = 0
+    for item in items:
+        if count == limit:
+            yield f"total: {count} (limit reached)"
+            return
+        yield write(item)
+        count += 1
+    yield f"total: {count}"
+
+
 def _cmd_enumerate(args) -> int:
+    action = f"enumerate {args.kind}"
+    takes, formats, items = ENUMERATIONS[args.kind]
+    _check_flags(args, action, ("size", "proper", "minimal"), takes=takes)
     for flag in ("limit", "size"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ValueError(f"--{flag} must be >= 0, got {value}")
-    n = args.n
-    kind = args.kind
-    if kind == "trees":
-        fmt = args.format or "edges"
-        if fmt == "edges":
-            items = (documents.edges_to_text(t) for t in tree.spanning_trees(n))
-        elif fmt == "prufer":
-            items = (documents.code_to_text(tree.prufer_encode(t)) for t in tree.spanning_trees(n))
-        else:
-            raise ValueError(f"format {fmt!r} does not apply to trees")
-    else:
-        if kind == "minimal-max-families":
-            fams = tree.minimal_max_families(n)
-        else:
-            fams = oracle.separating_families(
-                n, size=args.size, proper_only=args.proper, minimal_only=args.minimal
-            )
-        fmt = args.format or "compact"
-        if fmt == "compact":
-            items = (documents.family_to_compact(f) for f in fams)
-        elif fmt == "doc":
-            items = (json.dumps(documents.family_to_doc(f)) for f in fams)
-        else:
-            raise ValueError(f"format {fmt!r} does not apply to families")
-    fh = open(args.out, "w") if args.out else sys.stdout
-    try:
-        count = 0
-        truncated = False
-        for line in items:
-            if args.limit is not None and count >= args.limit:
-                truncated = True
-                break
-            print(line, file=fh)
-            count += 1
-        tail = " (limit reached)" if truncated else ""
-        print(f"total: {count}{tail}", file=fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write(args, _limited(items(args), args.limit, _writer(args, action, formats)))
     return 0
+
+
+def _closed_form(args, proper: bool) -> int:
+    n, k = args.n, args.k
+    if args.method != "all":
+        print(decimal_text(METHODS[args.method](n, k, proper)))
+        return 0
+    names = ["v1", "v2"] + (["brute"] if 2 <= n <= oracle.ORACLE_MAX_N and k >= 0 else [])
+    vals = {name: METHODS[name](n, k, proper) for name in names}
+    print(", ".join(f"{name}: {decimal_text(v)}" for name, v in vals.items()))
+    return 0 if len(set(vals.values())) == 1 else 1
+
+
+def _print(text: str) -> int:
+    print(text)
+    return 0
+
+
+# quantity -> (flags it needs, flags it may also take, its answer: prints, returns the exit code)
+COUNTS = {
+    "tau": (("n", "k"), ("method",), lambda a: _closed_form(a, False)),
+    "sigma": (("n", "k"), ("method",), lambda a: _closed_form(a, True)),
+    "min-size": (("n",), (), lambda a: _print(str(counting.min_separating_size(a.n)))),
+    "min-size-count": (("n",), (), lambda a: _print(decimal_text(counting.count_min_size_families(a.n)))),
+    "min-ground": (("k",), ("proper",), lambda a: _print(f"size: {counting.min_ground_size(a.k, a.proper)}, "
+                   f"count: {decimal_text(counting.count_min_ground_families(a.k, a.proper))}")),
+    "stirling1": (("n", "k"), (), lambda a: _print(decimal_text(counting.stirling1_unsigned(a.n, a.k)))),
+    "stirling2": (("n", "k"), (), lambda a: _print(decimal_text(counting.stirling2(a.n, a.k)))),
+}
 
 
 def _cmd_count(args) -> int:
-    q = args.quantity
-    if q in ("tau", "sigma"):
-        _need(args, "n", "k")
-        n, k, proper = args.n, args.k, q == "sigma"
-        method = args.method
-        if method == "all":
-            vals: dict[str, int] = {
-                "v1": counting._count_family_side(n, k, proper),
-                "v2": counting.count_separating_dual(n, k, proper),
-            }
-            if 2 <= n <= oracle.ORACLE_MAX_N and k >= 0:
-                vals["brute"] = oracle.brute_count_separating(n, k, proper_only=proper)
-            print(", ".join(f"{name}: {decimal_text(v)}" for name, v in vals.items()))
-            return 0 if len(set(vals.values())) == 1 else 1
-        if method is None:
-            value = counting.count_separating(n, k, proper)
-        elif method == "v1":
-            value = counting._count_family_side(n, k, proper)
-        elif method == "v2":
-            value = counting.count_separating_dual(n, k, proper)
-        else:
-            value = oracle.brute_count_separating(n, k, proper_only=proper)
-        print(decimal_text(value))
-        return 0
-    if q == "min-size":
-        _need(args, "n")
-        print(counting.min_separating_size(args.n))
-        return 0
-    if q == "min-size-count":
-        _need(args, "n")
-        print(decimal_text(counting.count_min_size_families(args.n)))
-        return 0
-    if q == "min-ground":
-        _need(args, "k")
-        size = counting.min_ground_size(args.k, args.proper)
-        count = counting.count_min_ground_families(args.k, args.proper)
-        print(f"size: {size}, count: {decimal_text(count)}")
-        return 0
-    # stirling quantities
-    _need(args, "n", "k")
-    fn = counting.stirling1_unsigned if q == "stirling1" else counting.stirling2
-    print(decimal_text(fn(args.n, args.k)))
-    return 0
+    needs, takes, answer = COUNTS[args.quantity]
+    _check_flags(args, f"count {args.quantity}", ("n", "k", "method", "proper"), needs, takes)
+    return answer(args)
 
 
 def _cmd_verify(args) -> int:
@@ -231,7 +230,7 @@ def _cmd_table(args) -> int:
                 cells.append(decimal_text(counting.count_separating(n, k, proper)))
         rows[str(n)] = cells
     doc = {"quantity": q, "n_max": n_max, "k_max": k_max, "k": list(range(1, k_max + 1)), "rows": rows}
-    _write_out(args, json.dumps(doc, indent=1) + "\n")
+    _write(args, [json.dumps(doc, indent=1)])
     return 0
 
 
@@ -252,25 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("map", help="convert between max-size minimal families and spanning trees")
     m.add_argument("direction", choices=["family-to-tree", "tree-to-family"])
     m.add_argument("--input", metavar="PATH", help="'-' or absent reads stdin")
-    m.add_argument("--format", choices=["edges", "prufer", "doc", "compact"])
-    m.add_argument("--out", metavar="PATH")
+    m.add_argument("--format", choices=WRITERS, help="trees: edges (default), prufer; families: doc (default), compact")
+    m.add_argument("--out", metavar="PATH", help="write to this file instead of stdout")
     m.set_defaults(handler=_cmd_map)
 
     e = sub.add_parser("enumerate", help="stream trees or separating families")
-    e.add_argument("kind", choices=["trees", "minimal-max-families", "families"])
+    e.add_argument("kind", choices=ENUMERATIONS)
     e.add_argument("--n", type=int, required=True, help="ground set size")
-    e.add_argument("--size", type=int, help="restrict families to this size")
-    e.add_argument("--proper", action="store_true", help="two-block bipartitions only")
-    e.add_argument("--minimal", action="store_true", help="minimal separating families only")
+    e.add_argument("--size", type=int, help="families: only this size")
+    e.add_argument("--proper", action="store_true", help="families: two-block bipartitions only")
+    e.add_argument("--minimal", action="store_true", help="families: minimal separating families only")
     e.add_argument("--limit", type=int, help="stop after this many items")
-    e.add_argument("--format", choices=["edges", "prufer", "doc", "compact"])
-    e.add_argument("--out", metavar="PATH")
+    e.add_argument("--format", choices=WRITERS, help="trees: edges (default), prufer; families: compact (default), doc")
+    e.add_argument("--out", metavar="PATH", help="write to this file instead of stdout")
     e.set_defaults(handler=_cmd_enumerate)
 
     k = sub.add_parser("count", help="evaluate an exact count")
     k.add_argument(
         "quantity",
-        choices=["tau", "sigma", "min-size", "min-size-count", "min-ground", "stirling1", "stirling2"],
+        choices=COUNTS,
         help="tau: separating families of k bipartitions; sigma: same with two-block members only",
     )
     k.add_argument("--n", type=int)
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("quantity", choices=["tau", "sigma"])
     t.add_argument("--n-max", type=int, default=5, help="default %(default)s")
     t.add_argument("--k-max", type=int, help="default: the full pool at n-max")
-    t.add_argument("--out", metavar="PATH")
+    t.add_argument("--out", metavar="PATH", help="write to this file instead of stdout")
     t.set_defaults(handler=_cmd_table)
     return p
 
@@ -307,11 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, OverflowError) as exc:
-        # OverflowError: an input too large for math.comb and the like
+        # CapacityError is a ValueError; OverflowError: an input too large for math.comb and the like
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

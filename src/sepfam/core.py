@@ -25,7 +25,9 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
-FULL_ENUM_MAX_N = 24
+# all_bipartitions(n) measured on 3.11 (one run each): n = 20 in 1.1 s and 84 MB
+# peak RSS, 21 in 2.1 s and 152 MB, 22 in 4.2 s and 288 MB; cost doubles per n
+FULL_ENUM_MAX_N = 20
 
 
 class CapacityError(ValueError):

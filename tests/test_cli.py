@@ -261,6 +261,90 @@ def test_enumerate_requires_n(capsys):
     assert run(capsys, "enumerate", "trees")[0] == 2
 
 
+def test_enumerate_limit_boundaries(capsys):
+    code, out, _ = run(capsys, "enumerate", "trees", "--n", "3", "--limit", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "total: 3"  # no fourth tree, so no marker
+    code, out, _ = run(capsys, "enumerate", "trees", "--n", "3", "--limit", "0")
+    assert (code, out) == (0, "total: 0 (limit reached)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "trees", "--n", "10"),
+        ("enumerate", "families", "--n", "6"),
+        ("enumerate", "families", "--n", "6", "--limit", "0"),
+        ("enumerate", "trees", "--n", "4", "--format", "doc"),
+        ("enumerate", "trees", "--n", "4", "--minimal"),
+        ("map", "tree-to-family", "--format", "edges"),
+        ("table", "tau", "--n-max", "1"),
+    ],
+)
+def test_refused_request_keeps_out_file(tmp_path, capsys, argv):
+    keep = tmp_path / "keep.txt"
+    keep.write_text("earlier output\n")
+    code, out, err = run(capsys, *argv, "--out", str(keep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert keep.read_text() == "earlier output\n"
+
+
+# command and action with the flags it needs -> flags it does not read
+UNREAD = {
+    ("count", "tau", "--n", "4", "--k", "3"): [("--proper",)],
+    ("count", "sigma", "--n", "4", "--k", "3"): [("--proper",)],
+    ("count", "min-size", "--n", "5"): [("--k", "3"), ("--k", "0"), ("--method", "v1"), ("--proper",)],
+    ("count", "min-size-count", "--n", "5"): [("--k", "3"), ("--method", "v2"), ("--proper",)],
+    ("count", "min-ground", "--k", "5"): [("--n", "4"), ("--n", "0"), ("--method", "all")],
+    ("count", "stirling1", "--n", "4", "--k", "2"): [("--method", "brute"), ("--proper",)],
+    ("count", "stirling2", "--n", "5", "--k", "2"): [("--method", "v2"), ("--proper",)],
+    ("enumerate", "trees", "--n", "4"): [("--size", "2"), ("--size", "0"), ("--proper",), ("--minimal",)],
+    ("enumerate", "minimal-max-families", "--n", "4"): [("--size", "3"), ("--proper",), ("--minimal",)],
+}
+
+
+@pytest.mark.parametrize(
+    "action, flag", [(action, flag) for action, flags in UNREAD.items() for flag in flags], ids=str
+)
+def test_unread_flag_exits_2(capsys, action, flag):
+    code, out, err = run(capsys, *action, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: {action[0]} {action[1]} does not take {flag[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, formats",
+    [
+        (("map", "family-to-tree"), "edges or prufer"),
+        (("map", "tree-to-family"), "doc or compact"),
+        (("enumerate", "trees", "--n", "4"), "edges or prufer"),
+        (("enumerate", "minimal-max-families", "--n", "4"), "compact or doc"),
+        (("enumerate", "families", "--n", "4"), "compact or doc"),
+    ],
+)
+def test_misapplied_format_exits_2(capsys, argv, formats):
+    for fmt in ("edges", "prufer", "compact", "doc"):
+        if fmt in formats.split(" or "):
+            continue
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} {argv[1]} does not take --format {fmt}; it writes {formats}\n"
+
+
+def test_writers_look_up_documents_at_call_time(tmp_path, capsys, monkeypatch):
+    # a wrapper put on the module attribute after import is the one called
+    monkeypatch.setattr(sepfam.documents, "family_to_compact", lambda fam: "family-marker")
+    monkeypatch.setattr(sepfam.documents, "edges_to_text", lambda t: "tree-marker")
+    f = tmp_path / "t.txt"
+    f.write_text("1-2,2-3,3-4")
+    assert run(capsys, "map", "tree-to-family", "--input", str(f), "--format", "compact")[:2] == (0, "family-marker\n")
+    code, out, _ = run(capsys, "enumerate", "trees", "--n", "3")
+    assert (code, out) == (0, "tree-marker\n" * 3 + "total: 3\n")
+    code, out, _ = run(capsys, "enumerate", "minimal-max-families", "--n", "3")
+    assert (code, out) == (0, "family-marker\n" * 3 + "total: 3\n")
+
+
 def test_count_methods_agree(capsys):
     code, out, _ = run(capsys, "count", "tau", "--n", "4", "--k", "3", "--method", "all")
     assert code == 0
@@ -352,7 +436,8 @@ def test_decimal_keeps_zero_chunks():
 
 
 def test_count_usage_and_domain_errors(capsys):
-    assert run(capsys, "count", "tau", "--n", "4")[0] == 2  # missing --k
+    assert run(capsys, "count", "tau", "--n", "4") == (2, "", "error: count tau requires --k\n")
+    assert run(capsys, "count", "stirling2") == (2, "", "error: count stirling2 requires --n and --k\n")
     assert run(capsys, "count", "min-size")[0] == 2
     assert run(capsys, "count", "tau", "--n", "1", "--k", "1")[0] == 2
     assert run(capsys, "count", "tau", "--n", "1", "--k", "1", "--method", "v2")[0] == 2

@@ -10,6 +10,7 @@ import helpers
 from sepfam import (
     Bipartition,
     BipartitionFamily,
+    FULL_ENUM_MAX_N,
     CapacityError,
     all_bipartitions,
     bipartition_count,
@@ -197,6 +198,8 @@ def test_all_bipartitions_shape():
 
 
 def test_all_bipartitions_capacity():
+    with pytest.raises(CapacityError):
+        all_bipartitions(FULL_ENUM_MAX_N + 1)
     with pytest.raises(CapacityError):
         all_bipartitions(25)
     with pytest.raises(ValueError):
