@@ -13,8 +13,8 @@ than 2 is an error.
 The sums read unsigned Stirling numbers of the first kind one whole row at a
 time, row k on the family side and row n on the ground side. Rows of both
 kinds are held in bounded memory: with m the highest row asked for so far,
-at most 256 + max(0, m - 255) // 8 + 4 rows of each kind. After
-count_separating_dual(1000, 10) the first-kind rows take 33.8 MB
+at most 256 + max(0, m - 255) // 8 rows of each kind. After
+count_separating_dual(1000, 10) the first-kind rows take 33.1 MB
 (tracemalloc, Python 3.11), where a table of every row up to 1000 took
 234.2 MB.
 """
@@ -30,7 +30,6 @@ from .core import bipartition_count
 
 _WHOLE_ROWS = 256  # every row below this is kept
 _CHECKPOINT_STEP = 8  # above it, row r is kept when 8 divides r + 1: 255, 263, ...
-_RECENT_ROWS = 4  # and so are the rows most recently rebuilt
 
 
 def _is_kept(r: int) -> bool:
@@ -43,23 +42,23 @@ class _StirlingRows:
     Row k of the first kind holds c(k, i) = (k-1) c(k-1, i) + c(k-1, i-1),
     of the second S(k, i) = i S(k-1, i) + S(k-1, i-1). A row that is not
     kept is rebuilt by the recurrence from the checkpoint below it, at most
-    7 steps once that checkpoint exists. Rows are built under a lock and
-    published only when finished, so a reader in any thread sees whole rows.
+    7 steps once that checkpoint exists, on every read. Rows are only ever
+    added, under a lock and only when finished, so a reader in any thread
+    sees whole rows.
     """
 
     def __init__(self, first: bool) -> None:
         self._first = first
         self._kept: dict[int, tuple[int, ...]] = {0: (1,)}
         self._last = 0  # highest kept row; every kept row below it exists
-        self._recent: dict[int, tuple[int, ...]] = {}  # in rebuild order
         self._lock = threading.Lock()
 
     def row(self, k: int) -> tuple[int, ...]:
         """Row k (k >= 0), entries 0..k."""
-        row = self._kept.get(k) or self._recent.get(k)
+        row = self._kept.get(k)
         if row is None:
             with self._lock:
-                row = self._kept.get(k) or self._recent.get(k) or self._build(k)
+                row = self._kept.get(k) or self._build(k)
         return row
 
     def _build(self, k: int) -> tuple[int, ...]:
@@ -73,10 +72,6 @@ class _StirlingRows:
             if _is_kept(r):
                 self._kept[r] = row
                 self._last = r
-        if not _is_kept(k):
-            self._recent[k] = row
-            if len(self._recent) > _RECENT_ROWS:
-                del self._recent[next(iter(self._recent))]
         return row
 
     def _next(self, prev: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -258,20 +253,22 @@ def distinct_row_matrix_count(n: int, k: int) -> int:
     _require_ground(n)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    out = 1
-    for j in range(1, n):
-        out *= (1 << k) - j
-        if out == 0:
-            break
-    return out
+    return perm((1 << k) - 1, n - 1)
+
+
+def _require_identity_size(n: int, k: int, lo: int) -> None:
+    _require_ground(n)
+    pool = bipartition_count(n)
+    if not lo <= k <= pool:
+        raise ValueError(f"k={k} outside {lo}..{pool}")
 
 
 def check_matrix_count_identity(n: int, k: int) -> IdentityCheck:
     """Families resummed by distinct-member count vs the distinct-row matrix count."""
-    _require_ground(n)
-    if not 1 <= k <= bipartition_count(n):
-        raise ValueError(f"k={k} outside 1..{bipartition_count(n)}")
-    lhs = sum(surjective_sequences(k, i) * count_separating(n, i) for i in range(1, k + 1))
+    _require_identity_size(n, k, 1)
+    # surjective_sequences(k, i) = i! S(k, i), with Stirling row k read once
+    s2 = _SECOND.row(k)
+    lhs = sum(factorial(i) * s2[i] * count_separating(n, i) for i in range(1, k + 1))
     rhs = distinct_row_matrix_count(n, k)
     return IdentityCheck(lhs, rhs)
 
@@ -282,9 +279,7 @@ def check_trivial_split(n: int, k: int) -> IdentityCheck:
     Splitting the size-k families by whether they contain the one-block
     partition gives exactly that recurrence.
     """
-    _require_ground(n)
-    if not 2 <= k <= bipartition_count(n):
-        raise ValueError(f"k={k} outside 2..{bipartition_count(n)}")
+    _require_identity_size(n, k, 2)
     lhs = count_separating(n, k, proper=True) + count_separating(n, k - 1, proper=True)
     rhs = count_separating(n, k)
     return IdentityCheck(lhs, rhs)
@@ -295,8 +290,7 @@ def check_stirling_first_sum(k: int, i: int) -> IdentityCheck:
     if k < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
     lhs = stirling1_unsigned(k + 1, i + 1)
-    kfact = factorial(k)
-    rhs = sum((kfact // factorial(j)) * stirling1_unsigned(j, i) for j in range(i, k + 1))
+    rhs = sum(perm(k, k - j) * stirling1_unsigned(j, i) for j in range(i, k + 1))
     return IdentityCheck(lhs, rhs)
 
 
@@ -307,9 +301,7 @@ def check_transpose_symmetry(n: int, k: int) -> IdentityCheck:
     row n, so for k != n they are two different computations; count_separating
     would read one of them in the other orientation, which is the same sum.
     """
-    _require_ground(n)
-    if not 2 <= k <= bipartition_count(n):
-        raise ValueError(f"k={k} outside 2..{bipartition_count(n)}")
+    _require_identity_size(n, k, 2)
     lhs = _count_family_side(n, k - 1, proper=True) * factorial(k - 1)
     rhs = _count_family_side(k, n - 1, proper=True) * factorial(n - 1)
     return IdentityCheck(lhs, rhs)
@@ -337,7 +329,7 @@ def count_min_size_families(n: int) -> int:
     """
     _require_ground(n)
     m = min_separating_size(n)
-    return (factorial(n - 1) // factorial(m)) * comb((1 << m) - 1, n - 1)
+    return perm((1 << m) - 1, n - 1) // factorial(m)
 
 
 def min_ground_size(k: int, proper: bool = False) -> int:

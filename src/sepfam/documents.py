@@ -179,20 +179,20 @@ def _compact_label(tok: str) -> int:
         raise ValueError(f"bad label {tok!r}") from None
 
 
-def family_from_compact(text: str, n: int | None = None) -> ParsedFamily:
+def family_from_compact(text: str) -> ParsedFamily:
     """Parse the compact one-line form."""
     body = text.strip()
     if not body:
         raise ValueError("empty family text")
-    return _family_from_members(map(_compact_member, body.split(";")), n, _compact_label)
+    return _family_from_members(map(_compact_member, body.split(";")), None, _compact_label)
 
 
-def family_from_text(text: str, n: int | None = None) -> ParsedFamily:
+def family_from_text(text: str) -> ParsedFamily:
     """Accept either a JSON document or the compact one-line form."""
     body = text.strip()
     if body.startswith("{"):
         return family_from_doc(json.loads(body))
-    return family_from_compact(body, n)
+    return family_from_compact(body)
 
 
 def edges_to_text(g: LabeledGraph) -> str:

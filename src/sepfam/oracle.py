@@ -275,22 +275,19 @@ def cross_validate(n_max: int, k_max: int) -> ValidationReport:
             for label, form, proper in forms:
                 check(f"{label}-vs-oracle n={n} k={k}", lambda: (form(n, k, proper), brute(n, k, proper)))
 
+    modes = (("arbitrary", False), ("proper", True))
     for n in range(2, n_max + 1):
         pool = bipartition_count(n)
         # the family-side sum against the ground-side sum, whatever the shape
-        for k in range(1, min(k_max, pool) + 1):
-            check(
-                f"closed-forms-agree-arbitrary n={n} k={k}",
-                lambda: (counting._count_family_side(n, k), counting.count_separating_dual(n, k)),
-            )
-        for k in range(1, min(k_max, pool - 1) + 1):
-            check(
-                f"closed-forms-agree-proper n={n} k={k}",
-                lambda: (
-                    counting._count_family_side(n, k, proper=True),
-                    counting.count_separating_dual(n, k, proper=True),
-                ),
-            )
+        for label, proper in modes:
+            for k in range(1, min(k_max, bipartition_count(n, proper)) + 1):
+                check(
+                    f"closed-forms-agree-{label} n={n} k={k}",
+                    lambda: (
+                        counting._count_family_side(n, k, proper),
+                        counting.count_separating_dual(n, k, proper),
+                    ),
+                )
         for k in range(1, min(k_max, pool) + 1):
             check(f"matrix-count-identity n={n} k={k}", lambda: counting.check_matrix_count_identity(n, k))
         for k in range(2, min(k_max, pool) + 1):
@@ -343,8 +340,11 @@ def cross_validate(n_max: int, k_max: int) -> ValidationReport:
             ),
         )
 
-    for k in range(1, min(k_max, 7) + 1):
-        for label, proper in (("arbitrary", False), ("proper", True)):
+    # every size whose smallest ground set the oracle reaches
+    for k in range(1, min(k_max, bipartition_count(ORACLE_MAX_N)) + 1):
+        for label, proper in modes:
+            if k > bipartition_count(ORACLE_MAX_N, proper):
+                continue
             check(
                 f"min-ground-size-{label} k={k}",
                 lambda: (counting.min_ground_size(k, proper), min_ground(k, proper)[0]),

@@ -60,13 +60,6 @@ class LabeledGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
 
 def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int], dict[int, set[int]]] | None:
     """BFS from vertex 1: the vertices in visiting order, each one's parent
@@ -75,7 +68,10 @@ def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int], dict[int, set
     """
     if len(g.edges) != g.n - 1:
         return None
-    adj = g.adjacency()
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     parent = {1: 0}
     order = [1]
     for x in order:  # grows while it is read: a BFS

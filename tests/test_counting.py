@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 from math import comb, factorial, perm
 
 import pytest
@@ -123,36 +125,66 @@ def test_stirling_rows_to_1000_match_plain_recurrence(first):
 
     # row 1000 walks up from row 0 and leaves checkpoints 263, 271, ..., 999
     ask(1000)
-    assert store._kept.keys() == {*range(256), *range(263, 1000, 8)}
-    assert set(store._recent) == {1000}
-    # 700 is rebuilt from checkpoint 695, then served from the recent rows
-    assert ask(700) is ask(700)
-    # a checkpoint row is served as kept, not cached
-    ask(263)
-    ask(999)
-    assert set(store._recent) == {1000, 700}
-    # neighbours up and down; a fifth recent row evicts the oldest
-    for k in (297, 298, 300):
+    kept = dict(store._kept)
+    assert kept.keys() == {*range(256), *range(263, 1000, 8)}
+    # any other row is rebuilt from the checkpoint below it on every read
+    assert ask(700) == ask(700)
+    for k in (263, 999, 297, 298, 300, 299, 1000):
         ask(k)
-    assert set(store._recent) == {700, 297, 298, 300}
-    ask(299)
-    assert set(store._recent) == {297, 298, 300, 299}
-    ask(1000)  # rebuilt from checkpoint 999
     rng = random.Random(20111)
     for k in [rng.randint(0, 1000) for _ in range(200)]:
         ask(k)
-    # rows 0..255, the 93 checkpoints 263..999 and at most 4 recent rows
-    assert len(store._kept) + len(store._recent) <= 256 + -(-744 // 8) + 4
+    # reads add no row and replace none: rows 0..255 and the 93 checkpoints 263..999
+    assert len(store._kept) == 256 + 93 == 349
+    assert all(store._kept[r] is row for r, row in kept.items())
     for k, want in enumerate(_plain_rows(first, 1000)):
         if k in seen:
             assert hash(tuple(want)) == seen[k], k
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_stirling_rows_read_from_many_threads(first):
+    # readers race the walk up from row 0 and each other's rebuilds; a kept
+    # row is added once and never replaced
+    bad = []
+
+    class AddOnly(dict):
+        def __setitem__(self, k, row):
+            if k in self:
+                bad.append(k)
+            super().__setitem__(k, row)
+
+    store = _StirlingRows(first)
+    store._kept = AddOnly(store._kept)
+    want = [tuple(row) for row in _plain_rows(first, 320)]
+    asks = list(range(321)) * 2
+
+    def read(seed):
+        order = asks[:]
+        random.Random(seed).shuffle(order)
+        bad.extend(k for k in order if store.row(k) != want[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
+    assert store._kept.keys() == {*range(256), *range(263, 321, 8)}
+    assert store._last == 319
 
 
 def test_stirling_rows_held_are_bounded():
     stirling1_unsigned(1000, 3)
     stirling2(1000, 3)
     for store in (sepfam.counting._FIRST, sepfam.counting._SECOND):
-        assert len(store._kept) + len(store._recent) <= 256 + -(-744 // 8) + 4
+        assert len(store._kept) <= 256 + -(-744 // 8)
 
 
 def test_counts_match_frozen_tables():
@@ -328,6 +360,17 @@ def test_distinct_row_matrix_count():
         distinct_row_matrix_count(4, -1)
 
 
+def test_distinct_row_matrix_count_is_the_row_product():
+    # row j (j = 2..n) is any k-bit row but the j - 1 already used; k = 0 and
+    # cells with fewer than n - 1 nonzero rows available come out 0
+    for n in range(2, 13):
+        for k in range(7):
+            want = 1
+            for j in range(1, n):
+                want *= (1 << k) - j
+            assert distinct_row_matrix_count(n, k) == want, (n, k)
+
+
 def test_matrix_count_identity_examples():
     c = check_matrix_count_identity(4, 2)
     assert c and c.lhs == c.rhs == 6
@@ -374,13 +417,23 @@ def test_stirling_first_sum_holds():
     assert c.lhs == 11 == c.rhs  # 1-cycle splits of four elements
 
 
+def test_stirling_first_sum_sides_match_factorial_quotients():
+    # the right side with k!/j! as a quotient of factorials, not a falling factorial
+    for k in range(41):
+        for i in range(k + 1):
+            rhs = sum(factorial(k) // factorial(j) * stirling1_unsigned(j, i) for j in range(i, k + 1))
+            assert check_stirling_first_sum(k, i) == (stirling1_unsigned(k + 1, i + 1), rhs), (k, i)
+
+
 def test_identity_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k=0 outside 1\.\.8$"):
         check_matrix_count_identity(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k=1 outside 2\.\.8$"):
         check_trivial_split(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k=9 outside 2\.\.8$"):
         check_transpose_symmetry(4, 9)
+    with pytest.raises(ValueError, match="n >= 2"):
+        check_transpose_symmetry(1, 2)
     with pytest.raises(ValueError):
         check_stirling_first_sum(-1, 0)
 
