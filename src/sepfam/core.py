@@ -13,7 +13,11 @@ The predicates run on the rows of the characteristic matrix (`char_rows`),
 built in O(n*k) the first time a family needs them and kept with it. A
 family separates exactly when its rows are pairwise distinct, and it is
 minimal exactly when, for each column j, some row with bit j flipped is
-also a row; the scan of a column stops at its first such row.
+also a row; the scan of a column stops at its first such row. Both answer
+False unbuilt when n > 2^k: k members have at most 2^k distinct rows.
+
+The rule that turns blocks into a bipartition lives in `block_coblock`,
+which `Bipartition.from_blocks` and the family readers in `documents` call.
 """
 
 from __future__ import annotations
@@ -44,55 +48,33 @@ class Bipartition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"bipartition needs n >= 1, got {self.n}")
-        if not 0 <= self.coblock < (1 << self.n):
+        if self.coblock < 0 or self.coblock.bit_length() > self.n:  # 1 << n may not fit in memory
             raise ValueError(f"coblock mask {self.coblock} does not fit a {self.n}-element set")
         if self.coblock & 1:
             raise ValueError("element 1 cannot be in the coblock")
 
     @classmethod
-    def from_coblock(cls, n: int, members: Iterable[int]) -> Bipartition:
-        """Build from the elements of the block avoiding element 1."""
-        mask = 0
-        for x in members:
-            if not 2 <= x <= n:
-                raise ValueError(f"coblock element {x} outside {{2..{n}}}")
-            mask |= 1 << (x - 1)
-        return cls(n, mask)
-
-    @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> Bipartition:
         """Build from explicit blocks, which must partition {1..n}."""
-        mat = [tuple(b) for b in blocks]
-        if not 1 <= len(mat) <= 2:
-            raise ValueError(f"a bipartition has one or two blocks, got {len(mat)}")
-        seen: set[int] = set()
-        for block in mat:
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            for x in block:
-                if x in seen:
-                    raise ValueError(f"element {x} appears twice")
-                seen.add(x)
-        if seen != set(range(1, n + 1)):
-            raise ValueError(f"blocks must partition {{1..{n}}}")
-        if len(mat) == 1:
-            return cls(n, 0)
-        co = mat[1] if 1 in mat[0] else mat[0]
-        return cls.from_coblock(n, co)
+        mat = [list(block) for block in blocks]
+        for x in itertools.chain(*mat):
+            if not 1 <= x <= n:
+                raise ValueError(f"element {x} outside {{1..{n}}}")
+        masks = [sum(1 << (x - 1) for x in block) for block in mat]
+        co = block_coblock(n, masks, sum(map(len, mat)))
+        if co is None:
+            raise ValueError(f"need one or two nonempty blocks that partition {{1..{n}}}")
+        return cls(n, co)
 
     @property
     def is_proper(self) -> bool:
         """True when there really are two blocks."""
         return self.coblock != 0
 
-    def coblock_members(self) -> tuple[int, ...]:
-        return _set_elements(self.coblock)
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks, the one containing element 1 first."""
         first = _set_elements(((1 << self.n) - 1) ^ self.coblock)
-        co = self.coblock_members()
-        return (first,) if not co else (first, co)
+        return (first, _set_elements(self.coblock)) if self.coblock else (first,)
 
     def cuts(self, i: int, j: int) -> bool:
         """True when elements i and j land in different blocks."""
@@ -142,10 +124,15 @@ class BipartitionFamily:
 
     def is_separating(self) -> bool:
         """Every element pair is cut by at least one member: rows are distinct."""
+        # k members give at most 2^k distinct rows: n > 2^k needs none built
+        if (self.n - 1).bit_length() > len(self.members):
+            return False
         return len(set(self._rows)) == self.n
 
     def is_minimal_separating(self) -> bool:
         """Separating, and dropping any one member stops it separating."""
+        if (self.n - 1).bit_length() > len(self.members):  # n > 2^k, as above
+            return False
         rows = self._rows
         present = set(rows)
         if len(present) != self.n:
@@ -168,6 +155,19 @@ def select_set_bits(items: Iterable[T], mask: int) -> Iterator[T]:
     itertools.compress, so no Python-level loop runs over the bits.
     """
     return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+
+
+def block_coblock(n: int, masks: Sequence[int], count: int) -> int | None:
+    """The coblock of blocks given by their masks (each the sum of its
+    labels' bits) and their label count, or None unless they are one or two
+    nonempty blocks with n labels in all whose masks sum to 2^n - 1, which
+    n powers of two do only when they are distinct.
+    """
+    full = (1 << n) - 1
+    if count != n or sum(masks) != full or not 1 <= len(masks) <= 2 or 0 in masks:
+        return None
+    # the coblock is the block without element 1, bit 0
+    return full ^ masks[0] if masks[0] & 1 else masks[0]
 
 
 def _set_elements(mask: int) -> tuple[int, ...]:

@@ -329,7 +329,7 @@ def count_min_size_families(n: int) -> int:
     """
     _require_ground(n)
     m = min_separating_size(n)
-    return perm((1 << m) - 1, n - 1) // factorial(m)
+    return _exact_div(distinct_row_matrix_count(n, m), factorial(m))
 
 
 def min_ground_size(k: int, proper: bool = False) -> int:

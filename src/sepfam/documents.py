@@ -13,11 +13,11 @@ Repeated bipartitions are dropped silently (families are sets).
 Both forms are read by one validator, on masks. The first member's labels
 give the universe, and one dict maps each label to its bit, keyed for
 compact text by the token string; a token spelled another way (`03`, `+3`,
-` 3`) is read with int() on a miss. Each member is then checked by
-arithmetic: it has n labels and its block masks sum to 2^n - 1, which n
-powers of two do only when they are distinct. A fault is named for the
-first member that has one. Writing picks, for each block, the label
-strings of the set bits of its coblock mask.
+` 3`) is read with int() on a miss. Each member's block masks then go to
+`core.block_coblock`, the one rule for blocks that `Bipartition.from_blocks`
+also uses. A fault is named for the first member that has one. Writing
+picks, for each block, the label strings of the set bits of its coblock
+mask.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Bipartition, BipartitionFamily, select_set_bits
+from .core import Bipartition, BipartitionFamily, block_coblock, select_set_bits
 from .tree import LabeledGraph
 
 
@@ -82,9 +82,8 @@ def _family_from_members(members: Iterator[list], n: int | None, label) -> Parse
     members yields each member as a list of blocks, each a list of tokens,
     and label(tok) reads a token as an int or raises. The first member's
     labels give the universe, and one dict maps each label, as an int and
-    as the first member's token, to its bit. Every member is then checked
-    by arithmetic alone: it has n tokens and its block masks sum to 2^n - 1,
-    which a sum of n powers of two does only when they are distinct.
+    as the first member's token, to its bit. Every member's block masks are
+    then checked by block_coblock, which also picks its coblock.
     """
     first = next(members, None)
     if first is None:
@@ -102,7 +101,6 @@ def _family_from_members(members: Iterator[list], n: int | None, label) -> Parse
         raise ValueError(_member_fault(first, label))
     bit.update(zip(tokens, map(bit.__getitem__, labels)))
     m = len(universe)
-    full = (1 << m) - 1
     get = bit.__getitem__
     coblocks = []
     for bp in itertools.chain((first,), members):
@@ -116,10 +114,10 @@ def _family_from_members(members: Iterator[list], n: int | None, label) -> Parse
                 raise ValueError(_member_fault(bp, label)) from None
             bit.update(spelled)
             masks = [sum(map(get, block)) for block in bp]
-        if len(masks) > 2 or sum(map(len, bp)) != m or sum(masks) != full:
+        co = block_coblock(m, masks, sum(map(len, bp)))
+        if co is None:
             raise ValueError(_member_fault(bp, label))
-        # the coblock is the block without the smallest label, bit 0
-        coblocks.append(full ^ masks[0] if masks[0] & 1 else masks[0])
+        coblocks.append(co)
     if n is not None and n != m:
         raise ValueError(f"n={n} but {m} distinct labels are present")
     identity = universe[-1] == m  # m distinct positive labels, the largest m

@@ -554,6 +554,21 @@ def test_internal_arithmetic_error_exits_3(capsys, monkeypatch, n, k):
     assert err.startswith("internal error: inexact division") and err.count("\n") == 1
 
 
+def test_min_size_count_inexact_division_exits_3(capsys, monkeypatch):
+    real = sepfam.counting.factorial
+    monkeypatch.setattr(sepfam.counting, "factorial", lambda m: real(m) * 1000003)
+    code, out, err = run(capsys, "count", "min-size-count", "--n", "9")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: inexact division")
+
+
+def test_check_answers_a_huge_empty_family_from_the_size_bound(tmp_path, capsys):
+    doc = tmp_path / "fam.json"
+    doc.write_text('{"n": 1000000000000, "bipartitions": []}')
+    assert run(capsys, "check", "--input", str(doc)) == (1, "separating: no\n", "")
+    assert run(capsys, "check", "--minimal", "--input", str(doc))[:2] == (1, "separating: no, minimal: no\n")
+
+
 def test_overflowing_input_exits_2_not_3(capsys):
     code, out, err = run(capsys, "count", "min-ground", "--k", str(10**30))
     assert (code, out) == (2, "")

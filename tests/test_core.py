@@ -28,7 +28,7 @@ def test_worked_example_masks(ex):
 def test_blocks_puts_block_with_1_first():
     b = Bipartition.from_blocks(4, [[3, 4], [1, 2]])
     assert b.blocks() == ((1, 2), (3, 4))
-    assert b.coblock_members() == (3, 4)
+    assert b.coblock == 0b1100
     triv = Bipartition(3)
     assert triv.blocks() == ((1, 2, 3),)
     assert not triv.is_proper
@@ -40,7 +40,6 @@ def test_blocks_puts_block_with_1_first():
             b = Bipartition(n, co)
             inside = tuple(i for i in range(1, n + 1) if co >> (i - 1) & 1)
             outside = tuple(i for i in range(1, n + 1) if not co >> (i - 1) & 1)
-            assert b.coblock_members() == inside
             assert b.blocks() == ((outside, inside) if inside else (outside,))
 
 
@@ -88,10 +87,21 @@ def test_mask_validation():
         Bipartition(4, 1 << 4)  # element 5 on a 4-set
     with pytest.raises(ValueError):
         Bipartition(0, 0)
+    with pytest.raises(ValueError, match="element 5 outside"):
+        Bipartition.from_blocks(4, [[1, 2, 3, 4], [5]])
     with pytest.raises(ValueError):
-        Bipartition.from_coblock(4, [5])
-    with pytest.raises(ValueError):
-        Bipartition.from_coblock(4, [1])
+        Bipartition(4, 0b1001)  # element 1 in a coblock with element 4
+
+
+def test_predicates_answer_no_from_the_size_bound():
+    # k members have at most 2^k distinct rows; n = 10^12 rows would not fit
+    for members in ((), (Bipartition(10**12),), (Bipartition(10**12, 0b110),)):
+        fam = BipartitionFamily(10**12, members)
+        assert not fam.is_separating()
+        assert not fam.is_minimal_separating()
+    assert "_rows" not in fam.__dict__
+    # at n = 2^k exactly the bound does not decide
+    assert BipartitionFamily(4, (Bipartition(4, 0b1100), Bipartition(4, 0b1010))).is_minimal_separating()
 
 
 def test_cuts_on_the_worked_example(ex):

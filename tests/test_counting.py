@@ -463,6 +463,13 @@ def test_count_min_size_families_fixtures():
         assert count_min_size_families(n) == count_separating(n, m)
 
 
+def test_count_min_size_families_checks_its_division(monkeypatch):
+    real = sepfam.counting.factorial
+    monkeypatch.setattr(sepfam.counting, "factorial", lambda m: real(m) * 1000003)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        count_min_size_families(9)
+
+
 def test_min_ground_fixtures():
     for k, (size, count) in ref.MIN_GROUND_ARBITRARY.items():
         assert min_ground_size(k) == size

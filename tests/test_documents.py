@@ -191,6 +191,54 @@ def test_compact_roundtrip_matches_naive(text):
     assert again.label_map == {}
 
 
+@st.composite
+def block_lists(draw, max_n=12):
+    """Blocks over labels 1..n: the labels shuffled and cut into up to three
+    blocks, empty ones kept or not, then maybe a label dropped, one moved
+    into a second block as well, or one repeated in its own block."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    if not draw(st.booleans()):
+        blocks = [b for b in blocks if b]
+    full = [b for b in blocks if b]
+    fault = draw(st.sampled_from(["none", "missing", "overlap", "repeat"]))
+    if fault != "none" and full:
+        block = draw(st.sampled_from(full))
+        x = draw(st.sampled_from(block))
+        if fault == "missing":
+            block.remove(x)
+        else:
+            draw(st.sampled_from(full if fault == "overlap" else [block])).append(x)
+    return n, blocks
+
+
+@PROPERTY
+@given(block_lists())
+@example((4, [[3, 4], [1, 2]]))
+@example((3, [[2, 1, 3]]))
+@example((4, [[1, 2], [3]]))  # missing
+@example((4, [[1, 2, 3], [3, 4]]))  # overlap
+@example((3, [[1, 2], [3, 3]]))  # repeat
+@example((3, [[1, 2], [], [3]]))  # empty block
+@example((4, [[1], [2], [3, 4]]))  # three blocks
+def test_from_blocks_accepts_what_the_doc_reader_accepts(case):
+    n, blocks = case
+    try:
+        want = Bipartition.from_blocks(n, blocks)
+    except ValueError:
+        want = None
+    try:
+        parsed = family_from_doc({"n": n, "bipartitions": [blocks]})
+    except ValueError:
+        got = None
+    else:
+        assert parsed.label_map == {}
+        (got,) = parsed.family
+    assert got == want
+
+
 def test_edge_text_roundtrip():
     g = LabeledGraph.from_edges(4, [(3, 4), (1, 2), (2, 3)])
     assert edges_to_text(g) == "1-2,2-3,3-4"

@@ -68,11 +68,11 @@ def test_edge_cut_family_fixtures(ex):
     star = LabeledGraph.from_edges(3, [(1, 2), (1, 3)])
     want = BipartitionFamily(
         3,
-        (Bipartition.from_coblock(3, [2]), Bipartition.from_coblock(3, [3])),
+        (Bipartition.from_blocks(3, [[1, 3], [2]]), Bipartition.from_blocks(3, [[1, 2], [3]])),
     )
     assert edge_cut_family(star) == want
     single = edge_cut_family(LabeledGraph.from_edges(2, [(1, 2)]))
-    assert single == BipartitionFamily(2, (Bipartition.from_coblock(2, [2]),))
+    assert single == BipartitionFamily(2, (Bipartition.from_blocks(2, [[1], [2]]),))
 
 
 def test_edge_cut_family_rejects():
