@@ -198,8 +198,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.n_max > oracle.ORACLE_MAX_N:
+        sweeps = f" and tree sweeps at n={oracle.TREE_SWEEP_MAX_N}" if args.n_max > oracle.TREE_SWEEP_MAX_N else ""
         print(
-            f"note: oracle comparisons stop at n={oracle.ORACLE_MAX_N}; "
+            f"note: oracle comparisons stop at n={oracle.ORACLE_MAX_N}{sweeps}; "
             f"formula checks run up to n={args.n_max}",
             file=sys.stderr,
         )

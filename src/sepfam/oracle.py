@@ -13,7 +13,12 @@ extension of that prefix by later indices covers too; counts add those
 extensions with `comb` and streams expand them with `combinations`. For
 minimal families it also carries the pairs cut exactly once and prunes a
 branch as soon as some chosen member owns none, because adding members never
-gives a pair back. Scans are capped at n <= 5.
+gives a pair back. Scans are capped at n <= ORACLE_MAX_N = 5.
+
+`cross_validate` runs the checks declared in `_GROUPS`, one row per group in
+summary order, each naming its axes, its cells and its two sides. One loop
+owns the error trap and the sides shared between checks. Oracle groups stop
+at ORACLE_MAX_N and tree sweeps at TREE_SWEEP_MAX_N = 6.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -34,6 +40,8 @@ from .core import (
 )
 
 ORACLE_MAX_N = 5
+# verify's tree sweeps walk all n^(n-2) spanning trees: 1296 at n = 6, 16807 at n = 7
+TREE_SWEEP_MAX_N = 6
 
 
 def _require_oracle_n(n: int) -> None:
@@ -230,128 +238,111 @@ class ValidationReport:
         }
 
 
+def _n_k(n_cap: int | None = None, k_from: int = 1, proper: bool = False):
+    """Cells (n, k): n from 2 to min(n_max, n_cap), k from k_from to k_max and the mode's pool at n."""
+    def cells(n_max: int, k_max: int) -> list[tuple[int, int]]:
+        top = n_max if n_cap is None else min(n_max, n_cap)
+        return [(n, k) for n in range(2, top + 1) for k in range(k_from, min(k_max, bipartition_count(n, proper)) + 1)]
+    return cells
+
+
+def _n(n_cap: int):
+    """Cells (n,): n from 2 to min(n_max, n_cap)."""
+    return lambda n_max, k_max: [(n,) for n in range(2, min(n_max, n_cap) + 1)]
+
+
+def _min_ground_k(proper: bool):
+    """Cells (k,): every k to k_max whose smallest ground set the oracle reaches."""
+    return lambda n_max, k_max: [(k,) for k in range(1, min(k_max, bipartition_count(ORACLE_MAX_N, proper)) + 1)]
+
+
+def _k_i(n_max: int, k_max: int) -> list[tuple[int, int]]:
+    """Cells (k, i): 0 <= i <= k <= k_max."""
+    return [(k, i) for k in range(k_max + 1) for i in range(k + 1)]
+
+
+# group -> (axis names, its cells for (n_max, k_max), its two sides at a cell given the run's shared
+# sides s), in summary order. Sides look functions up when called, so one patched or traced after
+# import is the one that runs.
+_GROUPS = {
+    "arbitrary-count-vs-oracle": ("n k", _n_k(ORACLE_MAX_N), lambda s, n, k: (
+        counting.count_separating(n, k, False), s.brute(n, k, False))),
+    "proper-count-vs-oracle": ("n k", _n_k(ORACLE_MAX_N), lambda s, n, k: (
+        counting.count_separating(n, k, True), s.brute(n, k, True))),
+    "arbitrary-dual-vs-oracle": ("n k", _n_k(ORACLE_MAX_N), lambda s, n, k: (
+        counting.count_separating_dual(n, k, False), s.brute(n, k, False))),
+    "proper-dual-vs-oracle": ("n k", _n_k(ORACLE_MAX_N), lambda s, n, k: (
+        counting.count_separating_dual(n, k, True), s.brute(n, k, True))),
+    # the family-side sum against the ground-side sum, whatever the shape
+    "closed-forms-agree-arbitrary": ("n k", _n_k(), lambda s, n, k: (
+        counting._count_family_side(n, k, False), counting.count_separating_dual(n, k, False))),
+    "closed-forms-agree-proper": ("n k", _n_k(proper=True), lambda s, n, k: (
+        counting._count_family_side(n, k, True), counting.count_separating_dual(n, k, True))),
+    "matrix-count-identity": ("n k", _n_k(), lambda s, n, k: counting.check_matrix_count_identity(n, k)),
+    "trivial-split": ("n k", _n_k(k_from=2), lambda s, n, k: counting.check_trivial_split(n, k)),
+    "transpose-symmetry": ("n k", _n_k(k_from=2), lambda s, n, k: counting.check_transpose_symmetry(n, k)),
+    "stirling-first-sum": ("k i", _k_i, lambda s, k, i: counting.check_stirling_first_sum(k, i)),
+    # the trees come in the order of their Pruefer codes
+    "prufer-roundtrip": ("n", _n(TREE_SWEEP_MAX_N), lambda s, n: (
+        sum(tree.prufer_encode(t) == c
+            for t, c in zip(s.trees(n), itertools.product(range(1, n + 1), repeat=n - 2), strict=True)),
+        len(s.trees(n)))),
+    "tree-roundtrip": ("n", _n(TREE_SWEEP_MAX_N), lambda s, n: (
+        sum(tree.unique_cut_graph(f) == t for t, f in zip(s.trees(n), s.families(n), strict=True)),
+        len(s.trees(n)))),
+    "edge-cut-minimal": ("n", _n(TREE_SWEEP_MAX_N), lambda s, n: (
+        sum(len(f) == n - 1 and f.is_minimal_separating() for f in s.families(n)), len(s.families(n)))),
+    "cayley-count": ("n", _n(TREE_SWEEP_MAX_N), lambda s, n: (len(set(s.families(n))), n ** (n - 2))),
+    "enumeration-matches-oracle": ("n", _n(ORACLE_MAX_N), lambda s, n: (
+        len(set(s.families(n)) ^ set(brute_minimal_max_families(n))), 0)),
+    "minimal-size-support": ("n", _n(ORACLE_MAX_N), lambda s, n: (
+        [size for size in s.profile(n) if not counting.min_separating_size(n) <= size <= n - 1], [])),
+    "min-size-count": ("n", _n(ORACLE_MAX_N), lambda s, n: (
+        counting.count_min_size_families(n), s.profile(n).get(counting.min_separating_size(n), 0))),
+    "min-ground-size-arbitrary": ("k", _min_ground_k(False), lambda s, k: (
+        counting.min_ground_size(k, False), s.min_ground(k, False)[0])),
+    "min-ground-count-arbitrary": ("k", _min_ground_k(False), lambda s, k: (
+        counting.count_min_ground_families(k, False), s.min_ground(k, False)[1])),
+    "min-ground-size-proper": ("k", _min_ground_k(True), lambda s, k: (
+        counting.min_ground_size(k, True), s.min_ground(k, True)[0])),
+    "min-ground-count-proper": ("k", _min_ground_k(True), lambda s, k: (
+        counting.count_min_ground_families(k, True), s.min_ground(k, True)[1])),
+}
+
+
 def cross_validate(n_max: int, k_max: int) -> ValidationReport:
     """Run every formula, identity, and bijection check at desk scale.
 
-    Each check computes two sides and passes exactly when they are equal. A
-    side that raises ArithmeticError or ValueError (CapacityError included) is
-    recorded as a failed check with lhs "error: ..." and rhs "unavailable", so
-    failures land in the report and are never raised. Oracle comparisons stop
-    at n = 5 and tree sweeps at n = 6 no matter how large n_max is;
-    formula-vs-formula and identity checks use the full requested range.
+    The checks come from one table of groups, in summary order; each group
+    names its axes, the cells it runs over for (n_max, k_max) and its two
+    sides at a cell. One loop runs every cell of every group, and a check
+    passes exactly when its two sides are equal. A side that raises
+    ArithmeticError or ValueError (CapacityError included) is recorded as a
+    failed check with lhs "error: ..." and rhs "unavailable", so failures land
+    in the report and are never raised. Sides that several checks read (the
+    oracle's counts, profiles and min ground sizes, the trees and their
+    families) are computed once per run; one that raises is not kept. Oracle
+    comparisons stop at n = ORACLE_MAX_N and tree sweeps at n =
+    TREE_SWEEP_MAX_N, however large n_max is; formula-vs-formula and identity
+    checks use the full requested range.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rep = ValidationReport(n_max, k_max)
-    oracle_n = min(n_max, ORACLE_MAX_N)
-    tree_n = min(n_max, 6)
-
-    def check(name: str, make) -> None:
-        # make() -> (lhs, rhs); a side blowing up is itself a failure
-        try:
-            lhs, rhs = make()
-        except (ArithmeticError, ValueError) as exc:
-            lhs, rhs = f"error: {exc}", "unavailable"
-        rep.add(name, lhs, rhs)
-
-    # sides needed by more than one check, computed once and inside the trap
-    # (a side that raises is not cached, so each check records the error)
-    brute = functools.cache(brute_count_separating)
-    profile = functools.cache(brute_minimal_size_profile)
-    min_ground = functools.cache(_brute_min_ground)
-    trees = functools.cache(lambda n: tuple(tree.spanning_trees(n)))
-    families = functools.cache(lambda n: tuple(tree.minimal_max_families(n)))
-
-    forms = (
-        ("arbitrary-count", counting.count_separating, False),
-        ("proper-count", counting.count_separating, True),
-        ("arbitrary-dual", counting.count_separating_dual, False),
-        ("proper-dual", counting.count_separating_dual, True),
+    shared = types.SimpleNamespace(
+        brute=functools.cache(brute_count_separating),
+        profile=functools.cache(brute_minimal_size_profile),
+        min_ground=functools.cache(_brute_min_ground),
+        trees=functools.cache(lambda n: tuple(tree.spanning_trees(n))),
+        families=functools.cache(lambda n: tuple(tree.minimal_max_families(n))),
     )
-    for n in range(2, oracle_n + 1):
-        for k in range(1, min(k_max, bipartition_count(n)) + 1):
-            for label, form, proper in forms:
-                check(f"{label}-vs-oracle n={n} k={k}", lambda: (form(n, k, proper), brute(n, k, proper)))
-
-    modes = (("arbitrary", False), ("proper", True))
-    for n in range(2, n_max + 1):
-        pool = bipartition_count(n)
-        # the family-side sum against the ground-side sum, whatever the shape
-        for label, proper in modes:
-            for k in range(1, min(k_max, bipartition_count(n, proper)) + 1):
-                check(
-                    f"closed-forms-agree-{label} n={n} k={k}",
-                    lambda: (
-                        counting._count_family_side(n, k, proper),
-                        counting.count_separating_dual(n, k, proper),
-                    ),
-                )
-        for k in range(1, min(k_max, pool) + 1):
-            check(f"matrix-count-identity n={n} k={k}", lambda: counting.check_matrix_count_identity(n, k))
-        for k in range(2, min(k_max, pool) + 1):
-            check(f"trivial-split n={n} k={k}", lambda: counting.check_trivial_split(n, k))
-            check(f"transpose-symmetry n={n} k={k}", lambda: counting.check_transpose_symmetry(n, k))
-
-    for k in range(0, k_max + 1):
-        for i in range(0, k + 1):
-            check(f"stirling-first-sum k={k} i={i}", lambda: counting.check_stirling_first_sum(k, i))
-
-    for n in range(2, tree_n + 1):
-        codes = itertools.product(range(1, n + 1), repeat=n - 2)  # the order trees come in
-        check(
-            f"prufer-roundtrip n={n}",
-            lambda: (
-                sum(tree.prufer_encode(t) == c for t, c in zip(trees(n), codes, strict=True)),
-                len(trees(n)),
-            ),
-        )
-        check(
-            f"tree-roundtrip n={n}",
-            lambda: (
-                sum(tree.unique_cut_graph(f) == t for t, f in zip(trees(n), families(n), strict=True)),
-                len(trees(n)),
-            ),
-        )
-        check(
-            f"edge-cut-minimal n={n}",
-            lambda: (
-                sum(len(f) == n - 1 and f.is_minimal_separating() for f in families(n)),
-                len(families(n)),
-            ),
-        )
-        check(f"cayley-count n={n}", lambda: (len(set(families(n))), n ** (n - 2)))
-
-    for n in range(2, oracle_n + 1):
-        check(
-            f"enumeration-matches-oracle n={n}",
-            lambda: (len(set(families(n)) ^ set(brute_minimal_max_families(n))), 0),
-        )
-        check(
-            f"minimal-size-support n={n}",
-            lambda: ([s for s in profile(n) if not counting.min_separating_size(n) <= s <= n - 1], []),
-        )
-        check(
-            f"min-size-count n={n}",
-            lambda: (
-                counting.count_min_size_families(n),
-                profile(n).get(counting.min_separating_size(n), 0),
-            ),
-        )
-
-    # every size whose smallest ground set the oracle reaches
-    for k in range(1, min(k_max, bipartition_count(ORACLE_MAX_N)) + 1):
-        for label, proper in modes:
-            if k > bipartition_count(ORACLE_MAX_N, proper):
-                continue
-            check(
-                f"min-ground-size-{label} k={k}",
-                lambda: (counting.min_ground_size(k, proper), min_ground(k, proper)[0]),
-            )
-            check(
-                f"min-ground-count-{label} k={k}",
-                lambda: (counting.count_min_ground_families(k, proper), min_ground(k, proper)[1]),
-            )
-
+    for group, (axes, cells, sides) in _GROUPS.items():
+        for cell in cells(n_max, k_max):
+            try:
+                lhs, rhs = sides(shared, *cell)
+            except (ArithmeticError, ValueError) as exc:
+                lhs, rhs = f"error: {exc}", "unavailable"
+            rep.add(" ".join([group, *(f"{a}={v}" for a, v in zip(axes.split(), cell))]), lhs, rhs)
     return rep

@@ -460,9 +460,13 @@ def test_verify_minimal_bounds(capsys):
 
 
 def test_verify_clamp_note(capsys):
-    code, out, err = run(capsys, "verify", "--n-max", "6", "--k-max", "4")
-    assert code == 0
-    assert "note:" in err
+    for n_max, note in [
+        (5, ""),
+        (6, "note: oracle comparisons stop at n=5; formula checks run up to n=6\n"),
+        (7, "note: oracle comparisons stop at n=5 and tree sweeps at n=6; formula checks run up to n=7\n"),
+    ]:
+        code, out, err = run(capsys, "verify", "--n-max", str(n_max), "--k-max", "4")
+        assert (code, err) == (0, note), n_max
 
 
 def test_verify_fault_injection_exits_1(capsys, monkeypatch):
@@ -523,6 +527,16 @@ def test_verify_fault_in_a_stirling_row_exits_1(capsys, monkeypatch):
                 "min-ground-size-proper", "min-ground-count-proper",
             },
         ),
+        # each side below looks its function up when it runs, not when the module is imported
+        (
+            "counting", "count_separating_dual", ValueError("planted"), lambda args: args[0] == 3,
+            {
+                "arbitrary-dual-vs-oracle", "proper-dual-vs-oracle",
+                "closed-forms-agree-arbitrary", "closed-forms-agree-proper",
+            },
+        ),
+        ("counting", "check_trivial_split", ValueError("planted"), lambda args: args[0] == 3, {"trivial-split"}),
+        ("tree", "prufer_encode", ValueError("planted"), lambda args: args[0].n == 4, {"prufer-roundtrip"}),
     ],
 )
 def test_verify_records_a_raising_side_as_a_failure(capsys, monkeypatch, module, name, error, when, failing):

@@ -151,6 +151,42 @@ def test_cross_validate_passes():
     assert rep.summary_lines()[-1].startswith("result: PASS")
 
 
+# groups that run over the same cells, so their counts agree at every shape
+_ORACLE_GROUPS = ("arbitrary-count-vs-oracle", "proper-count-vs-oracle", "arbitrary-dual-vs-oracle",
+                  "proper-dual-vs-oracle")
+_TREE_GROUPS = ("prufer-roundtrip", "tree-roundtrip", "edge-cut-minimal", "cayley-count")
+_N_GROUPS = ("enumeration-matches-oracle", "minimal-size-support", "min-size-count")
+_MIN_GROUND_GROUPS = ("min-ground-size-arbitrary", "min-ground-count-arbitrary", "min-ground-size-proper",
+                      "min-ground-count-proper")
+
+
+def _totals(names, total):
+    return [(name, (total, total)) for name in names]
+
+
+@pytest.mark.parametrize(
+    "n_max, k_max, counts",
+    [
+        # k_max = 1 gives no cell to trivial-split or transpose-symmetry, so both are absent
+        (2, 1, [*_totals(_ORACLE_GROUPS, 1), ("closed-forms-agree-arbitrary", (1, 1)),
+                ("closed-forms-agree-proper", (1, 1)), ("matrix-count-identity", (1, 1)),
+                ("stirling-first-sum", (3, 3)), *_totals(_TREE_GROUPS, 1), *_totals(_N_GROUPS, 1),
+                *_totals(_MIN_GROUND_GROUPS, 1)]),
+        (3, 3, [*_totals(_ORACLE_GROUPS, 5), ("closed-forms-agree-arbitrary", (5, 5)),
+                ("closed-forms-agree-proper", (4, 4)), ("matrix-count-identity", (5, 5)),
+                ("trivial-split", (3, 3)), ("transpose-symmetry", (3, 3)), ("stirling-first-sum", (10, 10)),
+                *_totals(_TREE_GROUPS, 2), *_totals(_N_GROUPS, 2), *_totals(_MIN_GROUND_GROUPS, 3)]),
+        # past both caps: tree sweeps stop at n = 6 and oracle groups at n = 5
+        (7, 5, [*_totals(_ORACLE_GROUPS, 16), ("closed-forms-agree-arbitrary", (26, 26)),
+                ("closed-forms-agree-proper", (24, 24)), ("matrix-count-identity", (26, 26)),
+                ("trivial-split", (20, 20)), ("transpose-symmetry", (20, 20)), ("stirling-first-sum", (21, 21)),
+                *_totals(_TREE_GROUPS, 5), *_totals(_N_GROUPS, 4), *_totals(_MIN_GROUND_GROUPS, 5)]),
+    ],
+)
+def test_group_counts_in_summary_order(n_max, k_max, counts):
+    assert list(cross_validate(n_max, k_max).group_counts().items()) == counts
+
+
 def test_report_takes_values_past_the_digit_limit():
     rep = ValidationReport(2, 1)
     rep.add("huge", 10**5000, 10**5000)
