@@ -13,7 +13,9 @@ extension of that prefix by later indices covers too; counts add those
 extensions with `comb` and streams expand them with `combinations`. For
 minimal families it also carries the pairs cut exactly once and prunes a
 branch as soon as some chosen member owns none, because adding members never
-gives a pair back. Scans are capped at n <= ORACLE_MAX_N = 5.
+gives a pair back. The walk is one loop with an explicit stack: the (OR,
+cut-once) pair from before each chosen index, restored when it backs up.
+Scans are capped at n <= ORACLE_MAX_N = 5.
 
 `cross_validate` runs the checks declared in `_GROUPS`, one row per group in
 summary order, each naming its axes, its cells and its two sides. One loop
@@ -79,14 +81,17 @@ def _covering_prefixes(
     dropped as soon as some chosen member owns no pair (cuts no pair that the
     others leave uncut), so every prefix yielded is a minimal family.
     """
+    if size == 0:  # an empty family covers no pair, and no member fits it
+        return
     m = len(masks)
     chosen: list[int] = []
-
-    def extend(start: int, acc: int, once: int):
-        # acc: the pairs the chosen members cut; once: those cut by exactly one
-        depth = len(chosen) + 1  # of the prefixes tried here
-        stop = m if size is None else m - size + depth
-        for j in range(start, stop):
+    saved: list[tuple[int, int]] = []  # (acc, once) as they were before each chosen index
+    # acc: the pairs the chosen members cut; once: those cut by exactly one
+    acc = once = once_now = j = 0
+    while True:
+        # with a size, leave room for the members still to come after index j
+        stop = m if size is None else m - size + len(chosen) + 1
+        for j in range(j, stop):
             c = masks[j]
             if minimal:
                 own = c & ~acc
@@ -97,17 +102,19 @@ def _covering_prefixes(
                 # only members whose own pairs c also cuts can have run out
                 if lost and not all(masks[i] & once_now for i in chosen):
                     continue
-            else:
-                once_now = 0
-            chosen.append(j)
             if acc | c == full:
-                yield tuple(chosen), j + 1
-            elif depth != size:
-                yield from extend(j + 1, acc | c, once_now)
-            chosen.pop()
-
-    if size != 0:  # an empty family covers no pair, and no member fits it
-        yield from extend(0, 0, 0)
+                yield (*chosen, j), j + 1
+            elif len(chosen) + 1 != size:
+                saved.append((acc, once))
+                chosen.append(j)
+                acc, once = acc | c, once_now
+                break  # descend: the next level tries the indices after j
+        else:  # this level is done: back up to the last chosen index
+            if not chosen:
+                return
+            acc, once = saved.pop()
+            j = chosen.pop()
+        j += 1
 
 
 def brute_count_separating(n: int, k: int, proper_only: bool = False) -> int:

@@ -506,9 +506,10 @@ def test_verify_fault_in_a_stirling_row_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "module, name, error, when, failing",
     [
-        # the tree sweep, and the oracle match that reads the tree families
+        # the tree sweep, and the oracle match that reads the tree families: minimal_max_families
+        # turns each code's stripping order into coblocks through this helper
         (
-            "tree", "edge_cut_family", ValueError("planted"), lambda args: args[0].n == 4,
+            "tree", "_cut_coblocks", ValueError("planted"), lambda args: args[0] == 4,
             {"tree-roundtrip", "edge-cut-minimal", "cayley-count", "enumeration-matches-oracle"},
         ),
         # the oracle side of the four count groups, and min-ground's search through n = 3

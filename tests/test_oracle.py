@@ -1,5 +1,6 @@
 """The exhaustive oracle against frozen tables, a live reference, and the harness."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from sepfam import (
     min_separating_size,
     separating_families,
 )
+from sepfam.oracle import _covering_prefixes, _cut_masks
 
 
 def test_brute_counts_match_frozen_tables():
@@ -114,6 +116,20 @@ def test_brute_minimal_max_families(ex):
     for f in fams:
         assert len(f) == 3
         assert f.is_minimal_separating()
+
+
+def test_walk_stream_is_pinned():
+    # every mode, size and pool at n <= 5: 28 361 prefixes, each with its start, in walk order
+    stream = []
+    for n in range(2, 6):
+        for proper in (False, True):
+            masks, full = _cut_masks(n, proper)
+            for size in [None, *range(len(masks) + 2)]:
+                for minimal in (False, True):
+                    stream.append(list(_covering_prefixes(masks, full, size, minimal)))
+    assert sum(map(len, stream)) == 28361
+    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
+    assert digest == "05e2376e3516d009f9bdea62668b32f785175c56b05b51a8c63b023a9bfb9851"
 
 
 def test_minimal_size_profile():

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepfam import (
     Bipartition,
@@ -18,7 +20,8 @@ from sepfam import (
     spanning_trees,
     unique_cut_graph,
 )
-from sepfam.documents import family_to_compact
+from sepfam.documents import code_to_text, edges_to_text, family_to_compact
+from sepfam.tree import _cut_coblocks, _strip_pairs
 
 
 def path4():
@@ -106,6 +109,21 @@ def test_code_validation():
         prufer_encode(LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)]))
 
 
+def test_code_entries_must_be_ints():
+    # True is 1 and 2.0 equals 2, but neither is a vertex label
+    with pytest.raises(ValueError, match="code entry True is not an integer"):
+        prufer_decode(3, [True])
+    with pytest.raises(ValueError, match=r"code entry 2\.0 is not an integer"):
+        prufer_decode(4, [2.0, 3])
+
+    class Label(int):
+        pass
+
+    t = prufer_decode(4, [Label(2), Label(3)])
+    assert t == path4()
+    assert edges_to_text(t) == "1-2,2-3,3-4" and code_to_text(prufer_encode(t)) == "2,3"
+
+
 def test_codec_bijection_small_n():
     for n in range(2, 7):
         seen = set()
@@ -149,6 +167,30 @@ def test_minimal_max_families_counts():
         for fam in minimal_max_families(n):
             digest.update((family_to_compact(fam) + "\n").encode())
     assert digest.hexdigest() == "46959d8ccd1977bc99b296b03fc1acf8222777e0915fa3cd22687344285b74f4"
+
+
+def test_code_route_matches_bfs_route():
+    # minimal_max_families strips each code; edge_cut_family walks a BFS of the decoded tree
+    for n in range(2, 8):
+        codes = itertools.product(range(1, n + 1), repeat=n - 2)
+        assert list(minimal_max_families(n)) == [edge_cut_family(prufer_decode(n, c)) for c in codes]
+
+
+@st.composite
+def codes(draw):
+    n = draw(st.integers(2, 40))
+    return n, draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(codes())
+def test_code_route_matches_bfs_route_on_random_codes(case):
+    n, code = case
+    pairs = _strip_pairs(n, code)
+    assert len(pairs) == n - 1
+    # sorted, not collapsed into a family, so a repeated coblock would show
+    coblocks = sorted(_cut_coblocks(n, pairs))
+    assert coblocks == [b.coblock for b in edge_cut_family(prufer_decode(n, code))]
 
 
 def test_enumeration_capacity():
