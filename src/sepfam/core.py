@@ -6,7 +6,9 @@ bitmask in which bit i-1 stands for element i. The empty coblock encodes the
 one-block partition of the whole set. Everything here is immutable.
 
 A family is a set: `BipartitionFamily` is its one constructor, for every
-producer, and drops repeats and sorts the members by coblock mask. An
+producer, and drops repeats and sorts the members by coblock mask. Their
+masks, ascending, are its `coblocks`; equality, hashing and the rows read
+`(n, coblocks)`, tuples of ints compared in C, never the member objects. An
 ordered sequence with repeats is a plain tuple of `Bipartition`.
 
 The predicates run on the rows of the characteristic matrix (`char_rows`),
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -89,7 +91,8 @@ class BipartitionFamily:
     """Distinct bipartitions over one ground set, kept sorted by coblock mask."""
 
     n: int
-    members: tuple[Bipartition, ...] = ()
+    members: tuple[Bipartition, ...] = field(default=(), compare=False)
+    coblocks: tuple[int, ...] = field(init=False, repr=False)  # the members' masks, ascending
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -102,7 +105,9 @@ class BipartitionFamily:
             if b.n != n:
                 raise ValueError(f"member over n={b.n} in a family over n={n}")
             by_mask[b.coblock] = b
-        object.__setattr__(self, "members", tuple(map(by_mask.__getitem__, sorted(by_mask))))
+        keys = tuple(sorted(by_mask))
+        object.__setattr__(self, "members", tuple(map(by_mask.__getitem__, keys)))
+        object.__setattr__(self, "coblocks", keys)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -116,7 +121,7 @@ class BipartitionFamily:
     @functools.cached_property
     def _rows(self) -> tuple[int, ...]:
         # built on first use: families that are only written never need rows
-        return tuple(char_rows(self.n, [b.coblock for b in self.members]))
+        return tuple(char_rows(self.n, self.coblocks))
 
     def rows(self) -> list[int]:
         """Characteristic-matrix rows of the members in canonical order."""

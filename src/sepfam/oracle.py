@@ -13,7 +13,9 @@ extension of that prefix by later indices covers too; counts add those
 extensions with `comb` and streams expand them with `combinations`. For
 minimal families it also carries the pairs cut exactly once and prunes a
 branch as soon as some chosen member owns none, because adding members never
-gives a pair back. The walk is one loop with an explicit stack: the (OR,
+gives a pair back. Only a new member that cuts some once-cut pairs can take
+them away, and only then does a plain loop over the chosen indices look for
+one left owning none. The walk is one loop with an explicit stack: the (OR,
 cut-once) pair from before each chosen index, restored when it backs up.
 Scans are capped at n <= ORACLE_MAX_N = 5.
 
@@ -100,8 +102,14 @@ def _covering_prefixes(
                 lost = once & c
                 once_now = (once ^ lost) | own
                 # only members whose own pairs c also cuts can have run out
-                if lost and not all(masks[i] & once_now for i in chosen):
-                    continue
+                if lost:
+                    for i in chosen:
+                        if not masks[i] & once_now:
+                            break  # member i owns no pair now: c is dropped
+                    else:
+                        lost = 0
+                    if lost:
+                        continue
             if acc | c == full:
                 yield (*chosen, j), j + 1
             elif len(chosen) + 1 != size:
@@ -152,7 +160,7 @@ def separating_families(
             if minimal_only and len(prefix) < k:
                 continue  # a minimal family has no separating prefix but itself
             for rest in itertools.combinations(range(start, m), k - len(prefix)):
-                yield BipartitionFamily(n, tuple(pool[i] for i in prefix + rest))
+                yield BipartitionFamily(n, tuple(map(pool.__getitem__, prefix + rest)))
 
 
 def brute_minimal_max_families(n: int) -> list[BipartitionFamily]:

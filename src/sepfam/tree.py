@@ -10,9 +10,10 @@ Both directions are linear in the input: the unique-cut graph is read off
 the characteristic-matrix rows in O(n*k) (rows one bit apart, found by one
 pass over the distinct rows per column), and every edge cut comes from one
 rule over a leaf-stripping order (`_cut_coblocks`). `minimal_max_families`
-feeds it each code's own order (`_strip_pairs`, the heap loop behind
-`prufer_decode` too) and takes members from one pool per call, so it builds
-no graph, BFS or member per code; `edge_cut_family` feeds it the BFS that
+feeds it each code's own order (`_strip`, the heap loop behind
+`prufer_decode` too, which checks its code first; enumerated codes are valid
+by construction) and takes members from one pool per call, so it builds no
+graph, BFS or member per code; `edge_cut_family` feeds it the BFS that
 checks its input, read backwards.
 
 A tree is a `LabeledGraph` whose n-1 edges reach every vertex, tested by
@@ -120,7 +121,7 @@ def _cut_coblocks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     the side of x is x plus everything stripped into it before, and the
     coblock is that side, complemented when it holds element 1.
     """
-    side = [0, *(1 << i for i in range(n))]  # v's own bit, to start
+    side = [0, *map((1).__lshift__, range(n))]  # v's own bit, to start
     full = (1 << n) - 1
     out = []
     for x, s in pairs:
@@ -171,23 +172,10 @@ def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _strip_pairs(n: int, seq: Sequence[int]) -> list[tuple[int, int]]:
-    """Check code seq (n-2 int entries in {1..n}) and strip its tree: the
+def _strip(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
+    """Strip the tree of a valid code (n-2 entries in {1..n}, n >= 2): the
     (leaf, neighbor) pair of each smallest leaf in turn, then the final edge.
     """
-    if n < 2:
-        raise ValueError("codes are defined for n >= 2")
-    code = tuple(seq)
-    if len(code) != n - 2:
-        raise ValueError(f"code length {len(code)} != n-2 = {n - 2}")
-    if set(map(type, code)) != {int}:
-        # slow path: name the first entry that is no int; int subclasses other than bool pass
-        for s in code:
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise ValueError(f"code entry {s!r} is not an integer")
-    for s in code:
-        if not 1 <= s <= n:
-            raise ValueError(f"code entry {s} outside {{1..{n}}}")
     deg = [1] * (n + 1)
     for s in code:
         deg[s] += 1
@@ -205,7 +193,20 @@ def _strip_pairs(n: int, seq: Sequence[int]) -> list[tuple[int, int]]:
 
 def prufer_decode(n: int, seq: Sequence[int]) -> LabeledGraph:
     """Rebuild the unique tree with code seq (length must be n-2)."""
-    return LabeledGraph(n, frozenset([(x, s) if x < s else (s, x) for x, s in _strip_pairs(n, seq)]))
+    if n < 2:
+        raise ValueError("codes are defined for n >= 2")
+    code = tuple(seq)
+    if len(code) != n - 2:
+        raise ValueError(f"code length {len(code)} != n-2 = {n - 2}")
+    if set(map(type, code)) != {int}:
+        # slow path: name the first entry that is no int; int subclasses other than bool pass
+        for s in code:
+            if not isinstance(s, int) or isinstance(s, bool):
+                raise ValueError(f"code entry {s!r} is not an integer")
+    for s in code:
+        if not 1 <= s <= n:
+            raise ValueError(f"code entry {s} outside {{1..{n}}}")
+    return LabeledGraph(n, frozenset([(x, s) if x < s else (s, x) for x, s in _strip(n, code)]))
 
 
 def _check_enum_cap(n: int) -> None:
@@ -227,4 +228,4 @@ def minimal_max_families(n: int) -> Iterator[BipartitionFamily]:
     _check_enum_cap(n)
     pool = all_bipartitions(n)
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield BipartitionFamily(n, tuple([pool[c >> 1] for c in _cut_coblocks(n, _strip_pairs(n, seq))]))
+        yield BipartitionFamily(n, tuple([pool[c >> 1] for c in _cut_coblocks(n, _strip(n, seq))]))

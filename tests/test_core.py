@@ -1,10 +1,13 @@
 """Core predicates against worked examples and the definition-level reference."""
 
+import dataclasses
 import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from sepfam import (
@@ -156,10 +159,59 @@ def test_family_rows_are_a_fresh_list(ex):
 def test_family_rejects_mixed_ground_sets(ex):
     with pytest.raises(ValueError):
         BipartitionFamily(5, (ex.p1,))
-    # equal coblock masks over different ground sets are different members
-    for members in [(Bipartition(4), Bipartition(5)), (Bipartition(5), Bipartition(4))]:
-        with pytest.raises(ValueError, match="member over n=5"):
+    # equal coblock masks over different ground sets are different members:
+    # the n check sees every member before repeats collapse, so the foreign
+    # one is refused wherever it stands among valid members of its mask
+    good, foreign = Bipartition(4, 0b0110), Bipartition(5, 0b0110)
+    for members in [(Bipartition(4), Bipartition(5)), (Bipartition(5), Bipartition(4)),
+                    (good, foreign, good), (foreign, good, good)]:
+        with pytest.raises(ValueError, match="member over n=5 in a family over n=4"):
             BipartitionFamily(4, members)
+
+
+def test_family_fields_and_repr(ex):
+    fam = BipartitionFamily(4, (ex.p1, ex.p2))
+    assert [f.name for f in dataclasses.fields(BipartitionFamily)] == ["n", "members", "coblocks"]
+    assert dataclasses.asdict(fam)["coblocks"] == (0b1010, 0b1100)
+    assert repr(fam) == (
+        "BipartitionFamily(n=4, members=(Bipartition(n=4, coblock=10), Bipartition(n=4, coblock=12)))"
+    )
+    with pytest.raises(TypeError):
+        BipartitionFamily(4, (ex.p1,), coblocks=(0b1100,))
+
+
+@st.composite
+def member_lists(draw):
+    """(n, m, left, right, shuffled): two mask lists from one small pool, so
+    they often hold the same set, a second ground set m that the masks also
+    fit, and left shuffled with some of its masks repeated."""
+    n = draw(st.integers(1, 8))
+    mask = st.integers(0, (1 << (n - 1)) - 1).map(lambda c: c << 1)
+    pool = draw(st.lists(mask, min_size=1, max_size=5))
+    left, right = (draw(st.lists(st.sampled_from(pool), max_size=8)) for _ in "lr")
+    m = draw(st.sampled_from([n, n, n + 1]))
+    shuffled = draw(st.permutations(left + left[: draw(st.integers(0, len(left)))]))
+    return n, m, left, right, shuffled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(member_lists())
+def test_family_equality_is_n_and_the_set_of_masks(case):
+    n, m, left, right, shuffled = case
+    f = BipartitionFamily(n, tuple(Bipartition(n, c) for c in left))
+    g = BipartitionFamily(m, tuple(Bipartition(m, c) for c in right))
+    assert f.coblocks == tuple(b.coblock for b in f.members) == tuple(sorted(set(left)))
+    assert (f == g) == (n == m and set(left) == set(right))
+    if f == g:
+        assert hash(f) == hash(g)
+    same = BipartitionFamily(n, tuple(Bipartition(n, c) for c in shuffled))
+    assert same == f and hash(same) == hash(f) and same.members == f.members
+    # one member over another ground set, with a mask the others may share
+    if m != n and left:
+        mixed = [Bipartition(n, c) for c in shuffled]
+        mixed.insert(len(shuffled) // 2, Bipartition(m, left[0]))
+        with pytest.raises(ValueError, match=f"member over n={m}"):
+            BipartitionFamily(n, tuple(mixed))
 
 
 def test_separating_worked_examples(ex):

@@ -21,7 +21,7 @@ from sepfam import (
     unique_cut_graph,
 )
 from sepfam.documents import code_to_text, edges_to_text, family_to_compact
-from sepfam.tree import _cut_coblocks, _strip_pairs
+from sepfam.tree import _cut_coblocks, _strip
 
 
 def path4():
@@ -186,7 +186,7 @@ def codes(draw):
 @given(codes())
 def test_code_route_matches_bfs_route_on_random_codes(case):
     n, code = case
-    pairs = _strip_pairs(n, code)
+    pairs = _strip(n, code)
     assert len(pairs) == n - 1
     # sorted, not collapsed into a family, so a repeated coblock would show
     coblocks = sorted(_cut_coblocks(n, pairs))
