@@ -5,11 +5,14 @@ by its coblock, the block that does not contain element 1, stored as a
 bitmask in which bit i-1 stands for element i. The empty coblock encodes the
 one-block partition of the whole set. Everything here is immutable.
 
-A family is a set: `BipartitionFamily` is its one constructor, for every
-producer, and drops repeats and sorts the members by coblock mask. Their
-masks, ascending, are its `coblocks`; equality, hashing and the rows read
-`(n, coblocks)`, tuples of ints compared in C, never the member objects. An
-ordered sequence with repeats is a plain tuple of `Bipartition`.
+A family is a set, held as `n` and `coblocks`, its members' masks without
+repeats, ascending; equality, hashing and the rows read only those ints.
+`members` builds the `Bipartition`s, in `coblocks` order, on first read.
+Every producer hands masks to one path, `BipartitionFamily._of`, which the
+constructor takes too once it has checked each member's n: it checks n,
+then that no mask is negative, wider than n bits or holds bit 0, and drops
+repeats and sorts. An ordered sequence with repeats is a plain tuple of
+`Bipartition`.
 
 The predicates run on the rows of the characteristic matrix (`char_rows`),
 built in O(n*k) the first time a family needs them and kept with it. A
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -86,37 +89,47 @@ class Bipartition:
         return bool((self.coblock >> (i - 1) ^ self.coblock >> (j - 1)) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BipartitionFamily:
-    """Distinct bipartitions over one ground set, kept sorted by coblock mask."""
+    """Distinct bipartitions over one ground set, held as their coblock masks, ascending."""
 
     n: int
-    members: tuple[Bipartition, ...] = field(default=(), compare=False)
-    coblocks: tuple[int, ...] = field(init=False, repr=False)  # the members' masks, ascending
+    coblocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"family needs n >= 1, got {self.n}")
-        # keyed by coblock, repeats collapse and the sort compares ints, not
-        # dataclasses (equal n and mask is an equal member)
-        n = self.n
-        by_mask: dict[int, Bipartition] = {}
-        for b in self.members:
+    def __init__(self, n: int, members: Iterable[Bipartition] = ()) -> None:
+        masks = []
+        for b in members:  # every member, before repeats collapse
             if b.n != n:
-                raise ValueError(f"member over n={b.n} in a family over n={n}")
-            by_mask[b.coblock] = b
-        keys = tuple(sorted(by_mask))
-        object.__setattr__(self, "members", tuple(map(by_mask.__getitem__, keys)))
-        object.__setattr__(self, "coblocks", keys)
+                raise ValueError(f"member over n={b.n!r} in a family over n={n!r}")
+            masks.append(b.coblock)
+        self._of(n, masks, self)
+
+    @classmethod
+    def _of(cls, n: int, coblocks: Iterable[int], fam: BipartitionFamily | None = None) -> BipartitionFamily:
+        """The family over n whose members have these masks: fam, when the
+        constructor passes itself, or else a new one, its members unbuilt."""
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"family needs an int n >= 1, got n={n!r}")
+        keys = tuple(sorted(set(coblocks)))
+        # once sorted, the ends decide sign and width; bit 0 is read from each
+        if keys and (keys[0] < 0 or keys[-1].bit_length() > n or 1 in map((1).__and__, keys)):
+            bad = next(c for c in keys if c < 0 or c.bit_length() > n or c & 1)
+            raise ValueError(f"coblock mask {bad} is no bipartition of a {n}-element set")
+        fam = object.__new__(cls) if fam is None else fam
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "coblocks", keys)
+        return fam
+
+    @functools.cached_property
+    def members(self) -> tuple[Bipartition, ...]:
+        """The members in `coblocks` order, built the first time they are read."""
+        return tuple([Bipartition(self.n, c) for c in self.coblocks])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.coblocks)
 
     def __iter__(self) -> Iterator[Bipartition]:
         return iter(self.members)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.members
 
     @functools.cached_property
     def _rows(self) -> tuple[int, ...]:
@@ -130,13 +143,13 @@ class BipartitionFamily:
     def is_separating(self) -> bool:
         """Every element pair is cut by at least one member: rows are distinct."""
         # k members give at most 2^k distinct rows: n > 2^k needs none built
-        if (self.n - 1).bit_length() > len(self.members):
+        if (self.n - 1).bit_length() > len(self.coblocks):
             return False
         return len(set(self._rows)) == self.n
 
     def is_minimal_separating(self) -> bool:
         """Separating, and dropping any one member stops it separating."""
-        if (self.n - 1).bit_length() > len(self.members):  # n > 2^k, as above
+        if (self.n - 1).bit_length() > len(self.coblocks):  # n > 2^k, as above
             return False
         rows = self._rows
         present = set(rows)
@@ -146,7 +159,7 @@ class BipartitionFamily:
         # needed when two rows differ in bit j alone
         return all(
             any(r ^ bit in present for r in rows)
-            for bit in (1 << j for j in range(len(self.members)))
+            for bit in (1 << j for j in range(len(self.coblocks)))
         )
 
 

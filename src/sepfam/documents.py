@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Bipartition, BipartitionFamily, block_coblock, select_set_bits
+from .core import BipartitionFamily, block_coblock, select_set_bits
 from .tree import LabeledGraph
 
 
@@ -51,10 +51,10 @@ def family_to_compact(f: BipartitionFamily) -> str:
     labels = [str(i) for i in range(1, f.n + 1)]
     full = (1 << f.n) - 1
     parts = []
-    for b in f:
-        first = ",".join(select_set_bits(labels, full ^ b.coblock))
-        if b.coblock:
-            first += "|" + ",".join(select_set_bits(labels, b.coblock))
+    for co in f.coblocks:
+        first = ",".join(select_set_bits(labels, full ^ co))
+        if co:
+            first += "|" + ",".join(select_set_bits(labels, co))
         parts.append(first)
     return ";".join(parts)
 
@@ -122,8 +122,7 @@ def _family_from_members(members: Iterator[list], n: int | None, label) -> Parse
         raise ValueError(f"n={n} but {m} distinct labels are present")
     identity = universe[-1] == m  # m distinct positive labels, the largest m
     label_map = {} if identity else {lab: pos for pos, lab in enumerate(universe, start=1)}
-    family = BipartitionFamily(m, tuple(Bipartition(m, co) for co in coblocks))
-    return ParsedFamily(family, label_map)
+    return ParsedFamily(BipartitionFamily._of(m, coblocks), label_map)
 
 
 def _doc_member(bp: object) -> list:

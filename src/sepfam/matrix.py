@@ -82,5 +82,5 @@ class CharMatrix:
 
 
 def encode_family(f: BipartitionFamily) -> CharMatrix:
-    """Encode a family's members in canonical order."""
-    return CharMatrix.encode(f.n, f.members)
+    """Encode a family's members in canonical order, from the rows it keeps."""
+    return CharMatrix(f.n, len(f), f._rows)

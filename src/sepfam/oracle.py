@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import counting, tree
-from .core import (
-    BipartitionFamily,
-    CapacityError,
-    all_bipartitions,
-    bipartition_count,
-)
+from .core import BipartitionFamily, CapacityError, bipartition_count
 
 ORACLE_MAX_N = 5
 # verify's tree sweeps walk all n^(n-2) spanning trees: 1296 at n = 6, 16807 at n = 7
@@ -149,8 +144,8 @@ def separating_families(
     The order is by size, then lexicographic in the pool's coblock order.
     """
     _require_oracle_n(n)
-    pool = all_bipartitions(n, proper_only)
     masks, full = _cut_masks(n, proper_only)
+    pool = range(2 if proper_only else 0, 1 << n, 2)  # the members' coblock masks, ascending
     m = len(pool)
     sizes = range(m + 1) if size is None else [size]
     for k in sizes:
@@ -160,7 +155,7 @@ def separating_families(
             if minimal_only and len(prefix) < k:
                 continue  # a minimal family has no separating prefix but itself
             for rest in itertools.combinations(range(start, m), k - len(prefix)):
-                yield BipartitionFamily(n, tuple(map(pool.__getitem__, prefix + rest)))
+                yield BipartitionFamily._of(n, map(pool.__getitem__, prefix + rest))
 
 
 def brute_minimal_max_families(n: int) -> list[BipartitionFamily]:

@@ -12,8 +12,8 @@ pass over the distinct rows per column), and every edge cut comes from one
 rule over a leaf-stripping order (`_cut_coblocks`). `minimal_max_families`
 feeds it each code's own order (`_strip`, the heap loop behind
 `prufer_decode` too, which checks its code first; enumerated codes are valid
-by construction) and takes members from one pool per call, so it builds no
-graph, BFS or member per code; `edge_cut_family` feeds it the BFS that
+by construction) and hands the masks to the family as they are, so it builds
+no graph, BFS or member per code; `edge_cut_family` feeds it the BFS that
 checks its input, read backwards.
 
 A tree is a `LabeledGraph` whose n-1 edges reach every vertex, tested by
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Bipartition, BipartitionFamily, CapacityError, all_bipartitions
+from .core import BipartitionFamily, CapacityError
 
 # `enumerate minimal-max-families` measured on 3.11 (2 cores, output hashed): n = 8 (262 144
 # families) in 7.2 and 8.7 s, n = 9 (4 782 969) in 187 s (one run); 16 MB peak RSS, streamed
@@ -147,7 +147,7 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     order, parent, _ = bfs
     rev = order[:0:-1]
     coblocks = _cut_coblocks(g.n, zip(rev, map(parent.__getitem__, rev)))
-    return BipartitionFamily(g.n, tuple([Bipartition(g.n, c) for c in coblocks]))
+    return BipartitionFamily._of(g.n, coblocks)
 
 
 def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:
@@ -226,6 +226,5 @@ def spanning_trees(n: int) -> Iterator[LabeledGraph]:
 def minimal_max_families(n: int) -> Iterator[BipartitionFamily]:
     """All minimal separating families of the maximum size n-1, in code order."""
     _check_enum_cap(n)
-    pool = all_bipartitions(n)
     for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield BipartitionFamily(n, tuple([pool[c >> 1] for c in _cut_coblocks(n, _strip(n, seq))]))
+        yield BipartitionFamily._of(n, _cut_coblocks(n, _strip(n, seq)))

@@ -15,10 +15,15 @@ from sepfam import (
     BipartitionFamily,
     FULL_ENUM_MAX_N,
     CapacityError,
+    LabeledGraph,
     all_bipartitions,
     bipartition_count,
+    edge_cut_family,
+    minimal_max_families,
+    separating_families,
 )
 from sepfam.core import _set_elements
+from sepfam.documents import family_from_text, family_to_compact
 
 
 def test_worked_example_masks(ex):
@@ -142,8 +147,10 @@ def test_family_canonicalizes_and_dedups(ex):
     assert len(fam) == 2
     assert fam.members == (ex.p2, ex.p1)  # increasing coblock mask
     assert fam == BipartitionFamily(4, (ex.p2, ex.p1))
-    assert ex.p1 in fam
-    assert Bipartition(4) not in fam
+    assert ex.p1 in fam and Bipartition(4, ex.p2.coblock) in fam
+    # `in` compares members: a mask alone, or over another ground set, is none
+    for item in (Bipartition(4), Bipartition(5, ex.p2.coblock), ex.p2.coblock, "x", None):
+        assert item not in fam
 
 
 def test_family_rows_are_a_fresh_list(ex):
@@ -170,34 +177,76 @@ def test_family_rejects_mixed_ground_sets(ex):
 
 
 def test_family_fields_and_repr(ex):
+    # a family holds n and its masks; the members are built when read, so
+    # they equal the objects passed in without being them
     fam = BipartitionFamily(4, (ex.p1, ex.p2))
-    assert [f.name for f in dataclasses.fields(BipartitionFamily)] == ["n", "members", "coblocks"]
-    assert dataclasses.asdict(fam)["coblocks"] == (0b1010, 0b1100)
-    assert repr(fam) == (
-        "BipartitionFamily(n=4, members=(Bipartition(n=4, coblock=10), Bipartition(n=4, coblock=12)))"
-    )
+    assert [f.name for f in dataclasses.fields(BipartitionFamily)] == ["n", "coblocks"]
+    assert dataclasses.asdict(fam) == {"n": 4, "coblocks": (0b1010, 0b1100)}
+    assert repr(fam) == "BipartitionFamily(n=4, coblocks=(10, 12))"
+    assert fam.members == (ex.p2, ex.p1) and fam.members[1] is not ex.p1
     with pytest.raises(TypeError):
         BipartitionFamily(4, (ex.p1,), coblocks=(0b1100,))
 
 
+@pytest.mark.parametrize("n", [4.0, True, 0, -1, "4", None], ids=["float", "bool", "zero", "negative", "str", "none"])
+def test_family_n_is_an_int_that_is_no_bool(n):
+    with pytest.raises(ValueError, match=f"family needs an int n >= 1, got n={n!r}"):
+        BipartitionFamily(n)
+    with pytest.raises(ValueError, match="got n="):
+        BipartitionFamily._of(n, ())
+    # with a member over 4 the member check may speak first; either way it is a ValueError
+    with pytest.raises(ValueError, match=f"n={n!r}"):
+        BipartitionFamily(n, (Bipartition(4, 2),))
+
+
+def test_family_reads_a_float_member_n_back_as_its_own_int():
+    # 4.0 == 4, so the member is accepted; it is rebuilt over the family's n
+    fam = BipartitionFamily(4, (Bipartition(4.0, 2),))
+    assert fam.members == (Bipartition(4, 2),) and type(fam.members[0].n) is int
+    assert repr(fam.members[0]) == "Bipartition(n=4, coblock=2)"
+
+
+def test_no_producer_builds_members():
+    n = 5
+    tree = LabeledGraph.from_edges(n, [(1, 2), (2, 3), (2, 4), (4, 5)])
+    fams = [
+        edge_cut_family(tree),
+        *itertools.islice(minimal_max_families(n), 7),
+        *itertools.islice(separating_families(4), 7),
+        *itertools.islice(separating_families(4, size=3, proper_only=True, minimal_only=True), 3),
+        family_from_text("1,2|3,4;1,3|2,4;1,3|2,4").family,
+        family_from_text('{"n": 4, "bipartitions": [[[1, 2], [3, 4]], [[1, 2, 3, 4]]]}').family,
+        family_from_text('{"n": 3, "bipartitions": []}').family,
+    ]
+    for fam in fams:
+        family_to_compact(fam)
+        assert "members" not in fam.__dict__
+        assert fam.members == tuple(Bipartition(fam.n, c) for c in fam.coblocks)
+        assert "members" in fam.__dict__ and fam.members is fam.members
+
+
 @st.composite
 def member_lists(draw):
-    """(n, m, left, right, shuffled): two mask lists from one small pool, so
-    they often hold the same set, a second ground set m that the masks also
-    fit, and left shuffled with some of its masks repeated."""
+    """(n, m, left, right, shuffled, bad): two mask lists from one small pool,
+    so they often hold the same set, a second ground set m that the masks
+    also fit, left shuffled with some of its masks repeated, and a mask that
+    is no bipartition of {1..n} for one reason only: bit 0 set, one bit too
+    wide, or negative."""
     n = draw(st.integers(1, 8))
     mask = st.integers(0, (1 << (n - 1)) - 1).map(lambda c: c << 1)
     pool = draw(st.lists(mask, min_size=1, max_size=5))
     left, right = (draw(st.lists(st.sampled_from(pool), max_size=8)) for _ in "lr")
     m = draw(st.sampled_from([n, n, n + 1]))
     shuffled = draw(st.permutations(left + left[: draw(st.integers(0, len(left)))]))
-    return n, m, left, right, shuffled
+    c = draw(st.sampled_from(pool))
+    bad = draw(st.sampled_from([c | 1, c | 1 << n, -c - 2]))
+    return n, m, left, right, shuffled, bad
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(member_lists())
 def test_family_equality_is_n_and_the_set_of_masks(case):
-    n, m, left, right, shuffled = case
+    n, m, left, right, shuffled, bad = case
     f = BipartitionFamily(n, tuple(Bipartition(n, c) for c in left))
     g = BipartitionFamily(m, tuple(Bipartition(m, c) for c in right))
     assert f.coblocks == tuple(b.coblock for b in f.members) == tuple(sorted(set(left)))
@@ -206,6 +255,14 @@ def test_family_equality_is_n_and_the_set_of_masks(case):
         assert hash(f) == hash(g)
     same = BipartitionFamily(n, tuple(Bipartition(n, c) for c in shuffled))
     assert same == f and hash(same) == hash(f) and same.members == f.members
+    # the mask path the producers take: repeats collapse, members are built
+    # in coblocks order, and a mask that is no bipartition is refused by value
+    held = BipartitionFamily._of(n, shuffled)
+    assert held == f and held.coblocks == tuple(sorted(set(left)))
+    assert held.members == tuple(Bipartition(n, c) for c in held.coblocks) == f.members
+    for at in {0, len(shuffled) // 2, len(shuffled)}:
+        with pytest.raises(ValueError, match=f"coblock mask {bad} is no bipartition of a {n}-element set"):
+            BipartitionFamily._of(n, shuffled[:at] + [bad] + shuffled[at:])
     # one member over another ground set, with a mask the others may share
     if m != n and left:
         mixed = [Bipartition(n, c) for c in shuffled]
