@@ -9,15 +9,13 @@ enumerated through their length-(n-2) codes.
 Both directions are linear in the input: the unique-cut graph is read off
 the characteristic-matrix rows in O(n*k) (rows one bit apart, found by one
 pass over the distinct rows per column), and every edge cut comes from one
-rule over a leaf-stripping order (`_cut_coblocks`). `minimal_max_families`
-feeds it each code's own order (`_strip`, the heap loop behind
-`prufer_decode` too, which checks its code first; enumerated codes are valid
-by construction) and hands the masks to the family as they are, so it builds
-no graph, BFS or member per code; `edge_cut_family` feeds it the BFS that
-checks its input, read backwards.
-
-A tree is a `LabeledGraph` whose n-1 edges reach every vertex, tested by
-one BFS from vertex 1; `prufer_decode` builds one by construction, unchecked.
+rule over a smallest-leaf stripping order (`_cut_coblocks`). `_strip` reads
+that order from a code (the heap loop behind `prufer_decode` too, which
+checks its code first; enumerated codes are valid by construction), and
+`minimal_max_families` hands its masks to the family as they are, so it
+builds no graph or member per code. `_leaf_order` reads it from a graph's
+edges, which strip to one vertex exactly when they form a spanning tree;
+`is_spanning_tree`, `edge_cut_family` and `prufer_encode` all read it.
 """
 
 from __future__ import annotations
@@ -34,6 +32,11 @@ from .core import BipartitionFamily, CapacityError
 TREE_ENUM_MAX_N = 9
 
 
+def _is_int(x: object) -> bool:
+    """An int that is no bool: the rule `BipartitionFamily._of` applies to n."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple graph on vertices {1..n}; edges held as (i, j) pairs with i < j."""
@@ -42,13 +45,15 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs n >= 1, got {self.n}")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"graph needs an int n >= 1, got n={self.n!r}")
         object.__setattr__(self, "edges", frozenset(self.edges))
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise ValueError(f"edge {e!r} must be a vertex pair")
             i, j = e
+            if not (type(i) is int is type(j) or _is_int(i) and _is_int(j)):  # exact ints first
+                raise ValueError(f"edge {e!r} must join two int vertices")
             if not 1 <= i < j <= self.n:
                 raise ValueError(f"edge {e} must satisfy 1 <= i < j <= {self.n}")
 
@@ -68,30 +73,40 @@ class LabeledGraph:
         return sorted(self.edges)
 
 
-def _tree_bfs(g: LabeledGraph) -> tuple[list[int], dict[int, int], dict[int, set[int]]] | None:
-    """BFS from vertex 1: the vertices in visiting order, each one's parent
-    (0 for vertex 1) and the adjacency it walked, or None unless g has n-1
-    edges that reach all n vertices.
+def _leaf_order(g: LabeledGraph) -> list[tuple[int, int]] | None:
+    """Strip the smallest leaf of g n-1 times: the (leaf, neighbor) pairs, or
+    None unless g has n-1 edges and each pop finds a vertex of degree 1.
+    Each strip removes one edge and none removes a cycle edge, so all n-1
+    edges strip exactly when g is a spanning tree.
     """
-    if len(g.edges) != g.n - 1:
+    if len(g.edges) != g.n - 1:  # before any list of n entries: n may dwarf the edges
         return None
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    deg = [0] * (g.n + 1)
+    nbr = [0] * (g.n + 1)  # XOR of the neighbors: a leaf's is its one neighbor
     for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    parent = {1: 0}
-    order = [1]
-    for x in order:  # grows while it is read: a BFS
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    return (order, parent, adj) if len(order) == g.n else None
+        deg[i] += 1
+        deg[j] += 1
+        nbr[i] ^= j
+        nbr[j] ^= i
+    leaves = [v for v in range(1, g.n + 1) if deg[v] == 1]
+    heapq.heapify(leaves)
+    pairs = []
+    for _ in range(g.n - 1):
+        x = heapq.heappop(leaves) if leaves else 0  # deg[0] is 0: no leaf is left
+        if deg[x] != 1:  # or x was a leaf whose neighbor stripped first
+            return None
+        s = nbr[x]
+        pairs.append((x, s))
+        deg[s] -= 1
+        nbr[s] ^= x
+        if deg[s] == 1:
+            heapq.heappush(leaves, s)
+    return pairs
 
 
 def is_spanning_tree(g: LabeledGraph) -> bool:
-    """Connected with exactly n-1 edges (which forces acyclicity)."""
-    return _tree_bfs(g) is not None
+    """Exactly n-1 edges that reach every vertex, tested by stripping leaves."""
+    return _leaf_order(g) is not None
 
 
 def unique_cut_graph(f: BipartitionFamily) -> LabeledGraph:
@@ -135,41 +150,26 @@ def edge_cut_family(g: LabeledGraph) -> BipartitionFamily:
     """One bipartition per edge: the two components left when it is removed.
 
     Input must be a spanning tree on n >= 2 vertices; this inverts
-    unique_cut_graph on maximum-size minimal separating families. The BFS
-    that checks the input, read backwards, strips each vertex v next to its
-    parent, and the side of edge (parent, v) is the subtree of v.
+    unique_cut_graph on maximum-size minimal separating families. The leaf
+    stripping that checks the input strips each vertex next to one neighbor,
+    and the side of that edge is everything stripped into the vertex before.
     """
     if g.n < 2:
         raise ValueError("edge-cut family needs n >= 2")
-    bfs = _tree_bfs(g)
-    if bfs is None:
+    pairs = _leaf_order(g)
+    if pairs is None:
         raise ValueError("input is not a spanning tree")
-    order, parent, _ = bfs
-    rev = order[:0:-1]
-    coblocks = _cut_coblocks(g.n, zip(rev, map(parent.__getitem__, rev)))
-    return BipartitionFamily._of(g.n, coblocks)
+    return BipartitionFamily._of(g.n, _cut_coblocks(g.n, pairs))
 
 
 def prufer_encode(t: LabeledGraph) -> tuple[int, ...]:
     """Length n-2 code: repeatedly strip the smallest leaf, record its neighbor."""
     if t.n < 2:
         raise ValueError("codes are defined for n >= 2")
-    bfs = _tree_bfs(t)
-    if bfs is None:
+    pairs = _leaf_order(t)
+    if pairs is None:
         raise ValueError("input is not a spanning tree")
-    adj = bfs[2]  # a fresh dict, so the leaf stripping may consume it
-    leaves = [v for v in range(1, t.n + 1) if len(adj[v]) == 1]
-    heapq.heapify(leaves)
-    seq = []
-    for _ in range(t.n - 2):
-        x = heapq.heappop(leaves)
-        (y,) = adj[x]
-        seq.append(y)
-        adj[y].remove(x)
-        adj[x].clear()
-        if len(adj[y]) == 1:
-            heapq.heappush(leaves, y)
-    return tuple(seq)
+    return tuple([s for _, s in pairs[:-1]])
 
 
 def _strip(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
@@ -193,15 +193,15 @@ def _strip(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
 
 def prufer_decode(n: int, seq: Sequence[int]) -> LabeledGraph:
     """Rebuild the unique tree with code seq (length must be n-2)."""
-    if n < 2:
-        raise ValueError("codes are defined for n >= 2")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"codes are defined for an int n >= 2, got n={n!r}")
     code = tuple(seq)
     if len(code) != n - 2:
         raise ValueError(f"code length {len(code)} != n-2 = {n - 2}")
     if set(map(type, code)) != {int}:
         # slow path: name the first entry that is no int; int subclasses other than bool pass
         for s in code:
-            if not isinstance(s, int) or isinstance(s, bool):
+            if not _is_int(s):
                 raise ValueError(f"code entry {s!r} is not an integer")
     for s in code:
         if not 1 <= s <= n:
@@ -210,8 +210,8 @@ def prufer_decode(n: int, seq: Sequence[int]) -> LabeledGraph:
 
 
 def _check_enum_cap(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"enumeration needs n >= 2, got {n}")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"enumeration needs an int n >= 2, got n={n!r}")
     if n > TREE_ENUM_MAX_N:
         raise CapacityError(f"tree enumeration is capped at n <= {TREE_ENUM_MAX_N} (got n={n})")
 

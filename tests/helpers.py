@@ -1,7 +1,8 @@
 """Definition-level reference implementations used to check the library.
 
-Everything here works on frozensets of frozensets with no bitmasks and no
-code shared with the package, so agreement between the two is meaningful.
+Everything here works on frozensets of frozensets (the tree test on a plain
+union-find) with no bitmasks and no code shared with the package, so
+agreement between the two is meaningful.
 Minimality is checked against the raw definition (no proper subfamily
 separates), not the single-removal shortcut the library uses. The counting
 references are the two closed-form sums written with math.comb, over
@@ -68,6 +69,20 @@ def naive_unique_cut_edges(fam, n):
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if sum(1 for p in fam if naive_cuts(p, i, j)) == 1
     }
+
+
+def naive_is_spanning_tree(n, edges):
+    """n-1 edges that a union-find merges into one class of all n vertices."""
+    root = list(range(n + 1))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    return len(edges) == n - 1 and len({find(v) for v in range(1, n + 1)}) == 1
 
 
 def naive_edge_cut_family(n, edges):

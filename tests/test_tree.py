@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from sepfam import (
     Bipartition,
     BipartitionFamily,
@@ -20,8 +22,8 @@ from sepfam import (
     spanning_trees,
     unique_cut_graph,
 )
-from sepfam.documents import code_to_text, edges_to_text, family_to_compact
-from sepfam.tree import _cut_coblocks, _strip
+from sepfam.documents import code_to_text, edges_to_text, family_to_compact, graph_from_edge_text
+from sepfam.tree import _cut_coblocks, _leaf_order, _strip
 
 
 def path4():
@@ -57,6 +59,69 @@ def test_is_spanning_tree():
     assert not is_spanning_tree(LabeledGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)]))  # cycle
     # right edge count but a cycle plus an isolated vertex
     assert not is_spanning_tree(LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)]))
+
+
+def test_too_few_edges_are_refused_before_any_list_of_n():
+    g = LabeledGraph(10**6, frozenset({(1, 2)}))
+    tracemalloc.start()
+    try:
+        assert not is_spanning_tree(g)
+        for f in (edge_cut_family, prufer_encode):
+            with pytest.raises(ValueError, match="not a spanning tree"):
+                f(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a list of 10^6 entries takes 8 MB
+
+
+# one non-tree with n-1 edges for each way the leaf stripping stops short
+NON_TREES = {
+    "no-leaf-left": "1-2,2-3,1-3,3-5",  # vertex 4 is isolated
+    "popped-leaf-of-degree-0": "1-2,2-3,1-3,4-5",
+    "degree-0-after-a-push": "1-2,2-3,1-3,5-6,4-6",
+}
+
+
+@pytest.mark.parametrize("text", NON_TREES.values(), ids=NON_TREES.keys())
+def test_non_trees_stop_the_leaf_stripping(text):
+    g = graph_from_edge_text(text)
+    assert len(g.edges) == g.n - 1
+    assert _leaf_order(g) is None and not is_spanning_tree(g)
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        edge_cut_family(g)
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        prufer_encode(g)
+
+
+def test_is_spanning_tree_matches_union_find():
+    # every graph with n-1 edges for n <= 7 (54 264 at n = 7)
+    for n in range(2, 8):
+        accepted = 0
+        for edges in itertools.combinations(itertools.combinations(range(1, n + 1), 2), n - 1):
+            got = is_spanning_tree(LabeledGraph(n, frozenset(edges)))
+            assert got == helpers.naive_is_spanning_tree(n, edges), edges
+            accepted += got
+        assert accepted == n ** (n - 2)
+
+
+# n and vertices must be ints that are no bools, as for a family's n
+NOT_INTS = {
+    "float-vertex": (lambda: LabeledGraph(2, {(1.0, 2)}), r"edge \(1\.0, 2\) must join two int"),
+    "bool-vertex": (lambda: LabeledGraph(3, {(True, 2)}), r"edge \(True, 2\) must join two int"),
+    "float-graph-n": (lambda: LabeledGraph(3.0, {(1, 2), (2, 3)}), r"graph needs an int n >= 1, got n=3\.0"),
+    "bool-graph-n": (lambda: LabeledGraph(True), "graph needs an int n >= 1, got n=True"),
+    "str-graph-n": (lambda: LabeledGraph("3"), "graph needs an int n >= 1, got n='3'"),
+    "float-code-n": (lambda: prufer_decode(4.0, [1, 2]), r"codes are defined for an int n >= 2, got n=4\.0"),
+    "float-trees-n": (lambda: next(spanning_trees(4.0)), r"enumeration needs an int n >= 2, got n=4\.0"),
+    "float-families-n": (lambda: next(minimal_max_families(3.0)), r"enumeration needs an int n >= 2, got n=3\.0"),
+}
+
+
+@pytest.mark.parametrize("make, message", NOT_INTS.values(), ids=NOT_INTS.keys())
+def test_tree_n_and_vertices_are_ints_that_are_no_bools(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_unique_cut_graph_fixtures(ex):
@@ -169,8 +234,8 @@ def test_minimal_max_families_counts():
     assert digest.hexdigest() == "46959d8ccd1977bc99b296b03fc1acf8222777e0915fa3cd22687344285b74f4"
 
 
-def test_code_route_matches_bfs_route():
-    # minimal_max_families strips each code; edge_cut_family walks a BFS of the decoded tree
+def test_code_route_matches_edge_route():
+    # minimal_max_families strips each code; edge_cut_family strips the decoded tree's edges
     for n in range(2, 8):
         codes = itertools.product(range(1, n + 1), repeat=n - 2)
         assert list(minimal_max_families(n)) == [edge_cut_family(prufer_decode(n, c)) for c in codes]
@@ -184,10 +249,11 @@ def codes(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(codes())
-def test_code_route_matches_bfs_route_on_random_codes(case):
+def test_code_route_matches_edge_route_on_random_codes(case):
     n, code = case
     pairs = _strip(n, code)
     assert len(pairs) == n - 1
+    assert _leaf_order(prufer_decode(n, code)) == pairs
     # sorted, not collapsed into a family, so a repeated coblock would show
     coblocks = sorted(_cut_coblocks(n, pairs))
     assert coblocks == [b.coblock for b in edge_cut_family(prufer_decode(n, code))]
